@@ -136,13 +136,7 @@ def cmd_inequalities(args) -> int:
     if not isinstance(section, dict):
         raise cfg.ConfigError("inequalities section must be an object")
     grid = cfg.build_grid_spec(section.get("grid", {}))
-    explore = section.get("explore", {})
-    if not isinstance(explore, dict):
-        raise cfg.ConfigError("inequalities.explore must map name -> pairs")
-    explore_pairs = {
-        name: [tuple(pair) for pair in pairs]
-        for name, pairs in explore.items()
-    }
+    explore_pairs = cfg.build_explore_pairs(section.get("explore", {}))
     out = _out_dir(args)
     strict, explored = run_all_scans(
         grid, explore_pairs=explore_pairs, threads=args.threads,

@@ -209,10 +209,53 @@ def build_grid_spec(section) -> GridSpec:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    for key, value in section.items():
+        if key == "epsilon":
+            if not _is_real(value):
+                raise ConfigError(
+                    f"inequalities.grid.epsilon must be a number, got {value!r}"
+                )
+        elif not _is_int(value):
+            raise ConfigError(
+                f"inequalities.grid.{key} must be an integer, got {value!r}"
+            )
     try:
         return GridSpec(**section)
     except ValueError as exc:
         raise ConfigError(f"inequalities.grid: {exc}") from None
+
+
+def build_explore_pairs(section) -> dict:
+    """{name: [(A, B), ...]} from inequalities.explore, pairs type-checked.
+
+    Names are checked by the scan itself before any scan runs.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError("inequalities.explore must map name -> pairs")
+    explore = {}
+    for name, pairs in section.items():
+        where = f"inequalities.explore.{name}"
+        if not isinstance(pairs, list):
+            raise ConfigError(f"{where} must be a list of [A, B] pairs")
+        for pair in pairs:
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and all(_is_real(v) for v in pair)
+            ):
+                raise ConfigError(
+                    f"{where} entries must be [A, B] number pairs, got {pair!r}"
+                )
+        explore[name] = [tuple(pair) for pair in pairs]
+    return explore
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def build_game_spec(section) -> GameSpec:

@@ -14,6 +14,16 @@ Admissible parameter regions: distance needs A > 0 and B >= 1/(2A) + 1;
 lower needs 2AB >= 1 and B > 1; threshold needs A > 0 and
 B >= A/4 + 1/A.  Scans are evidence at a stated resolution, used as
 regression tests rather than proofs.
+
+The scan kernel makes one pass over the mesh in cache-sized row blocks.
+The grid, KL(y||z) and the y-only terms are built once per run; the
+side term of each block is computed once and shared by every (A, B)
+pair, whose margin is evaluated in place into one buffer per worker.
+Each pair carries its running minimum, flat argmin and count of cells
+<= 0 across blocks.  Worker threads split the mesh rows, not the pairs,
+and their partials merge in row order by np.argmin's rule (the first
+NaN wins, otherwise ties go to the first cell), so every report is the
+one a full-mesh evaluation gives, bit for bit, at any thread count.
 """
 
 from __future__ import annotations
@@ -67,6 +77,8 @@ class GridSpec:
             raise GridError("refinement count must be nonnegative")
         if self.param_samples < 1:
             raise GridError("need at least one (A, B) sample")
+        if self.param_seed < 0:
+            raise GridError("parameter seed must be nonnegative")
 
     def y_values(self) -> np.ndarray:
         return np.linspace(self.epsilon, 1.0 - self.epsilon, self.y_count)
@@ -284,32 +296,103 @@ def sample_threshold_params(count: int, seed: int):
     return pairs
 
 
-class _Workspace:
-    """Meshes shared by every (A, B) sample of one scan."""
+# Mesh rows per block.  A 32-row block of the ~2000-column mesh is about
+# 530 KB, so a block's KL slice, side term and margin buffer stay in a
+# core's L2 cache while every (A, B) pair is evaluated over it.  Smaller
+# blocks scale worse over threads: each numpy call hands over the GIL.
+_BLOCK_ROWS = 32
+
+
+class _Mesh:
+    """The (y, z) grid, KL(y||z) and the y-only column terms of a run.
+
+    Built once and shared by every scan.  Side terms that depend on both
+    y and z are computed per row block instead of stored.
+    """
 
     def __init__(self, spec: GridSpec):
         self.y = spec.y_values()
         self.z = spec.z_values()
-        self.kl = kl_mesh(self.y, self.z)
+        self.kl = np.empty((len(self.y), len(self.z)))
+        for start in range(0, len(self.y), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            self.kl[start:stop] = kl_mesh(self.y[start:stop], self.z)
         self.informed = (2.0 * self.y * (1.0 - self.y))[:, None]
-        self.abs_diff = np.abs(self.y[:, None] - self.z[None, :])
-
-    def mixture_error(self) -> np.ndarray:
-        yc = self.y[:, None]
-        zr = self.z[None, :]
-        return yc * (1.0 - zr) + zr * (1.0 - yc)
-
-    def threshold_pieces(self):
-        half = np.minimum(self.y, 1.0 - self.y)[:, None]
-        if numerics.TIE_PREDICTION == 0:
-            predicted = (self.z > 0.5).astype(float)[None, :]
-        else:
-            predicted = (self.z >= 0.5).astype(float)[None, :]
-        theta_err = np.abs(self.y[:, None] - predicted)
-        return half, theta_err
+        self.half = np.minimum(self.y, 1.0 - self.y)[:, None]
 
 
-def _scan_pairs(work, pairs, admissible, evaluate, mode, threads):
+def _merge_minima(partials):
+    """Combine (min, flat index) partials listed in row order.
+
+    Follows np.argmin on the concatenated mesh: the first NaN wins,
+    otherwise the smallest value, with ties going to the earliest cell.
+    """
+    best_value, best_flat = partials[0]
+    for value, flat in partials[1:]:
+        if math.isnan(best_value):
+            break
+        if value < best_value or math.isnan(value):
+            best_value, best_flat = value, flat
+    return best_value, best_flat
+
+
+def _scan_rows(mesh, count, margins, threads):
+    """(min, argmin y, argmin z, cells <= 0) of count margins over the mesh.
+
+    margins(start, stop, out) yields the count margin blocks of rows
+    start:stop in order, typically evaluated into the buffer out.  Each
+    worker thread scans a contiguous range of blocks for every margin,
+    and the partials merge in row order.
+    """
+    n_y, n_z = mesh.kl.shape
+    starts = list(range(0, n_y, _BLOCK_ROWS))
+
+    def scan(block_starts):
+        out = np.empty((_BLOCK_ROWS, n_z))
+        partials = [[] for _ in range(count)]
+        violations = [0] * count
+        for start in block_starts:
+            stop = min(start + _BLOCK_ROWS, n_y)
+            blocks = margins(start, stop, out[: stop - start])
+            for k, block in enumerate(blocks):
+                flat = int(np.argmin(block))
+                value = block.item(flat)
+                partials[k].append((value, start * n_z + flat))
+                if not value > 0.0:
+                    violations[k] += int(np.count_nonzero(block <= 0.0))
+        return partials, violations
+
+    per_worker = -(-len(starts) // max(1, threads))
+    ranges = [
+        starts[i:i + per_worker] for i in range(0, len(starts), per_worker)
+    ]
+    if len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+            results = list(pool.map(scan, ranges))
+    else:
+        results = [scan(ranges[0])]
+    merged = []
+    for k in range(count):
+        value, flat = _merge_minima(
+            [p for partials, _ in results for p in partials[k]]
+        )
+        row_i, col_i = divmod(flat, n_z)
+        merged.append((
+            value, float(mesh.y[row_i]), float(mesh.z[col_i]),
+            sum(counts[k] for _, counts in results),
+        ))
+    return merged
+
+
+def _pair_report(inequality, spec, pairs, mode, threads, mesh, admissible,
+                 terms, side, combine) -> MarginReport:
+    """Scan (A' column + B' KL) combine side for every (A, B) pair.
+
+    terms(mesh, a, b) gives the pair's (A' column, B'); side(mesh, y)
+    is the term of a row block that depends on y and z, computed once
+    per block and shared by all pairs.  The terms associate as in the
+    plain full-mesh expression, so every cell is bitwise the same.
+    """
     if mode not in ("strict", "explore"):
         raise GridError(f"mode must be 'strict' or 'explore', got {mode!r}")
     flags = [admissible(a, b) for a, b in pairs]
@@ -320,119 +403,105 @@ def _scan_pairs(work, pairs, admissible, evaluate, mode, threads):
                 f"parameters outside the admissible region: {bad}; "
                 "rerun in explore mode to scan them anyway"
             )
+    mesh = mesh or _Mesh(spec)
+    pair_terms = [terms(mesh, a, b) for a, b in pairs]
 
-    def one(job):
-        (a, b), ok = job
-        margins = evaluate(a, b)
-        flat = int(np.argmin(margins))
-        row_i, col_i = divmod(flat, margins.shape[1])
-        return ScanRow(
-            a=a,
-            b=b,
-            admissible=ok,
-            min_margin=float(margins[row_i, col_i]),
-            argmin_y=float(work.y[row_i]),
-            argmin_z=float(work.z[col_i]),
-            violations=int(np.count_nonzero(margins <= 0.0)),
-        )
+    def margins(start, stop, out):
+        kl = mesh.kl[start:stop]
+        side_block = side(mesh, mesh.y[start:stop, None])
+        for column, b_kl in pair_terms:
+            np.multiply(kl, b_kl, out=out)
+            np.add(column[start:stop], out, out=out)
+            combine(out, side_block, out=out)
+            yield out
 
-    jobs = list(zip(pairs, flags))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, jobs))
-    else:
-        rows = [one(job) for job in jobs]
-    return tuple(rows)
+    results = _scan_rows(mesh, len(pairs), margins, threads)
+    rows = tuple(
+        ScanRow(a, b, ok, *result)
+        for (a, b), ok, result in zip(pairs, flags, results)
+    )
+    return MarginReport(
+        inequality=inequality, mode=mode, y_count=len(mesh.y),
+        z_count=len(mesh.z), epsilon=spec.epsilon, rows=rows,
+    )
 
 
 def check_distance_bound(
     spec: GridSpec, pairs=None, mode: str = "strict", threads: int = 1,
+    *, _mesh: _Mesh | None = None,
 ) -> MarginReport:
     """Scan 2A y(1-y) + B KL - |y-z| > 0 over the mesh."""
-    work = _Workspace(spec)
     if pairs is None:
         pairs = sample_distance_params(spec.param_samples, spec.param_seed)
-
-    def evaluate(a, b):
-        return a * work.informed + b * work.kl - work.abs_diff
-
-    rows = _scan_pairs(work, pairs, admissible_distance, evaluate, mode, threads)
-    return MarginReport(
-        inequality="distance", mode=mode, y_count=len(work.y),
-        z_count=len(work.z), epsilon=spec.epsilon, rows=rows,
+    return _pair_report(
+        "distance", spec, pairs, mode, threads, _mesh, admissible_distance,
+        terms=lambda mesh, a, b: (a * mesh.informed, b),
+        side=lambda mesh, y: np.abs(y - mesh.z),
+        combine=np.subtract,
     )
 
 
 def check_lower_bound(
     spec: GridSpec, pairs=None, mode: str = "strict", threads: int = 1,
+    *, _mesh: _Mesh | None = None,
 ) -> MarginReport:
     """Scan (A-1) 2y(1-y) + (B-1) KL + y(1-z) + z(1-y) > 0 over the mesh."""
-    work = _Workspace(spec)
-    mixture_err = work.mixture_error()
     if pairs is None:
         pairs = sample_lower_params(spec.param_samples, spec.param_seed)
-
-    def evaluate(a, b):
-        return (a - 1.0) * work.informed + (b - 1.0) * work.kl + mixture_err
-
-    rows = _scan_pairs(work, pairs, admissible_lower, evaluate, mode, threads)
-    return MarginReport(
-        inequality="lower", mode=mode, y_count=len(work.y),
-        z_count=len(work.z), epsilon=spec.epsilon, rows=rows,
+    return _pair_report(
+        "lower", spec, pairs, mode, threads, _mesh, admissible_lower,
+        terms=lambda mesh, a, b: ((a - 1.0) * mesh.informed, b - 1.0),
+        side=lambda mesh, y: y * (1.0 - mesh.z) + mesh.z * (1.0 - y),
+        combine=np.add,
     )
 
 
 def check_threshold_bound(
     spec: GridSpec, pairs=None, mode: str = "strict", threads: int = 1,
+    *, _mesh: _Mesh | None = None,
 ) -> MarginReport:
     """Scan (A+1) min(y,1-y) + (B+1) KL - |y - step(z-1/2)| > 0."""
-    work = _Workspace(spec)
-    half, theta_err = work.threshold_pieces()
     if pairs is None:
         pairs = sample_threshold_params(spec.param_samples, spec.param_seed)
-
-    def evaluate(a, b):
-        return (a + 1.0) * half + (b + 1.0) * work.kl - theta_err
-
-    rows = _scan_pairs(work, pairs, admissible_threshold, evaluate, mode, threads)
-    return MarginReport(
-        inequality="threshold", mode=mode, y_count=len(work.y),
-        z_count=len(work.z), epsilon=spec.epsilon, rows=rows,
+    calls_one = np.greater if numerics.TIE_PREDICTION == 0 else np.greater_equal
+    return _pair_report(
+        "threshold", spec, pairs, mode, threads, _mesh, admissible_threshold,
+        terms=lambda mesh, a, b: ((a + 1.0) * mesh.half, b + 1.0),
+        side=lambda mesh, y: np.abs(y - calls_one(mesh.z, 0.5).astype(float)),
+        combine=np.subtract,
     )
 
 
-def check_kl_quadratic_bound(spec: GridSpec, threads: int = 1) -> MarginReport:
+def check_kl_quadratic_bound(
+    spec: GridSpec, threads: int = 1, *, _mesh: _Mesh | None = None,
+) -> MarginReport:
     """Scan KL(y||z) >= 2 (y-z)^2; equality allowed only on the diagonal.
 
     The headline minimum is taken off the diagonal, where positivity is
     strict; exact diagonal hits are verified to sit at zero separately.
     """
-    work = _Workspace(spec)
-    margins = work.kl - 2.0 * (work.y[:, None] - work.z[None, :]) ** 2
-    on_diagonal = work.y[:, None] == work.z[None, :]
-    diagonal_max = (
-        float(np.max(np.abs(margins[on_diagonal])))
-        if np.any(on_diagonal)
-        else None
+    mesh = _mesh or _Mesh(spec)
+    diagonal = []
+
+    def margins(start, stop, out):
+        y = mesh.y[start:stop, None]
+        np.subtract(mesh.kl[start:stop], 2.0 * (y - mesh.z) ** 2, out=out)
+        on_diagonal = y == mesh.z
+        if on_diagonal.any():
+            diagonal.append(out[on_diagonal])
+            out[on_diagonal] = np.inf
+        yield out
+
+    (result,) = _scan_rows(mesh, 1, margins, threads)
+    return MarginReport(
+        inequality="kl_quadratic", mode="strict", y_count=len(mesh.y),
+        z_count=len(mesh.z), epsilon=spec.epsilon,
+        rows=(ScanRow(None, None, True, *result),),
+        diagonal_max_abs=(
+            float(np.max(np.abs(np.concatenate(diagonal))))
+            if diagonal else None
+        ),
     )
-    off = np.where(on_diagonal, np.inf, margins)
-    flat = int(np.argmin(off))
-    row_i, col_i = divmod(flat, off.shape[1])
-    row = ScanRow(
-        a=None,
-        b=None,
-        admissible=True,
-        min_margin=float(off[row_i, col_i]),
-        argmin_y=float(work.y[row_i]),
-        argmin_z=float(work.z[col_i]),
-        violations=int(np.count_nonzero(off <= 0.0)),
-    )
-    report = MarginReport(
-        inequality="kl_quadratic", mode="strict", y_count=len(work.y),
-        z_count=len(work.z), epsilon=spec.epsilon, rows=(row,),
-        diagonal_max_abs=diagonal_max,
-    )
-    return report
 
 
 _CHECKS = {
@@ -445,24 +514,28 @@ _CHECKS = {
 def run_all_scans(spec: GridSpec, explore_pairs=None, threads: int = 1):
     """All four scans; optional explore pairs are scanned without gating.
 
-    Returns (strict_reports, explore_reports); only strict reports count
-    toward the pass verdict.
+    Every scan shares one mesh.  Returns (strict_reports,
+    explore_reports); only strict reports count toward the pass verdict.
     """
-    strict = [
-        check_distance_bound(spec, threads=threads),
-        check_lower_bound(spec, threads=threads),
-        check_threshold_bound(spec, threads=threads),
-        check_kl_quadratic_bound(spec, threads=threads),
-    ]
-    explored = []
-    for name, pairs in (explore_pairs or {}).items():
+    explore_pairs = explore_pairs or {}
+    for name in explore_pairs:
         if name not in _CHECKS:
             raise GridError(
                 f"unknown inequality {name!r}; expected one of "
                 f"{sorted(_CHECKS)}"
             )
-        if pairs:
-            explored.append(
-                _CHECKS[name](spec, pairs=pairs, mode="explore", threads=threads)
-            )
+    mesh = _Mesh(spec)
+    strict = [
+        check_distance_bound(spec, threads=threads, _mesh=mesh),
+        check_lower_bound(spec, threads=threads, _mesh=mesh),
+        check_threshold_bound(spec, threads=threads, _mesh=mesh),
+        check_kl_quadratic_bound(spec, threads=threads, _mesh=mesh),
+    ]
+    explored = [
+        _CHECKS[name](
+            spec, pairs=pairs, mode="explore", threads=threads, _mesh=mesh,
+        )
+        for name, pairs in explore_pairs.items()
+        if pairs
+    ]
     return strict, explored

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import seqpred.cli as cli
+from seqpred import inequality_lab
 from seqpred.inequality_lab import MarginReport, ScanRow
 
 
@@ -170,6 +171,57 @@ class TestInequalities:
         ])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def assert_config_error(self, tmp_path, capsys, section):
+        config = write_config(tmp_path, {"inequalities": section})
+        code = run([
+            "inequalities", "--config", config, "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", [
+        {"y_count": "20"},
+        {"y_count": 20.5},
+        {"epsilon": "0.01"},
+        {"epsilon": True},
+        {"param_seed": "x"},
+        {"param_seed": -1},
+        {"refine_per_side": 2.5},
+        {"param_samples": True},
+    ])
+    def test_mistyped_grid_field_is_config_error(self, tmp_path, capsys,
+                                                 field):
+        section = self.small_grid_config()["inequalities"]
+        section["grid"].update(field)
+        self.assert_config_error(tmp_path, capsys, section)
+
+    @pytest.mark.parametrize("explore", [
+        {"distance": [[1.0]]},
+        {"distance": [["a", 1.0]]},
+        {"distance": [[1.0, 2.0, 3.0]]},
+        {"distance": [[1.0, False]]},
+        {"distance": 5},
+        [["distance", [1.0, 1.2]]],
+    ])
+    def test_malformed_explore_is_config_error(self, tmp_path, capsys,
+                                               explore):
+        self.assert_config_error(
+            tmp_path, capsys, self.small_grid_config(explore)["inequalities"],
+        )
+
+    def test_unknown_explore_name_fails_before_any_scan(
+        self, tmp_path, capsys, monkeypatch,
+    ):
+        def no_scan(spec):
+            raise AssertionError("a scan ran before the names were checked")
+
+        monkeypatch.setattr(inequality_lab, "_Mesh", no_scan)
+        self.assert_config_error(tmp_path, capsys, self.small_grid_config(
+            {"distance": [[1.0, 1.2]], "pinsker": [[1.0, 1.0]]},
+        )["inequalities"])
 
     def test_failing_scan_sets_exit_one(self, tmp_path, monkeypatch):
         # Every shipped inequality holds, so a genuine strict failure

@@ -4,11 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from seqpred import numerics
 from seqpred.numerics import kl_bernoulli
 from seqpred.inequality_lab import (
+    _BLOCK_ROWS,
     AdmissibilityError,
     GridError,
     GridSpec,
+    MarginReport,
+    ScanRow,
+    _merge_minima,
     admissible_distance,
     admissible_lower,
     admissible_threshold,
@@ -17,6 +22,7 @@ from seqpred.inequality_lab import (
     check_lower_bound,
     check_threshold_bound,
     distance_margin,
+    kl_mesh,
     kl_quadratic_margin,
     lower_bound_edge_quadratic,
     lower_margin,
@@ -184,12 +190,211 @@ class TestScans:
 
     def test_threads_do_not_change_results(self):
         spec = GridSpec(y_count=200, z_count=200, param_samples=6)
-        serial = check_lower_bound(spec, threads=1)
-        parallel = check_lower_bound(spec, threads=4)
-        assert [r.min_margin for r in serial.rows] == [
-            r.min_margin for r in parallel.rows
+        for check in (check_distance_bound, check_lower_bound,
+                      check_threshold_bound, check_kl_quadratic_bound):
+            serial = check(spec, threads=1)
+            parallel = check(spec, threads=4)
+            assert serial.to_dict() == parallel.to_dict()
+
+
+def _full_mesh_row(y, z, a, b, admissible, margins):
+    flat = int(np.argmin(margins))
+    row_i, col_i = divmod(flat, margins.shape[1])
+    return ScanRow(
+        a=a, b=b, admissible=admissible,
+        min_margin=float(margins[row_i, col_i]),
+        argmin_y=float(y[row_i]), argmin_z=float(z[col_i]),
+        violations=int(np.count_nonzero(margins <= 0.0)),
+    )
+
+
+def full_mesh_report(spec, inequality, pairs=None, mode="strict"):
+    """One scan as a full-mesh expression per (A, B) pair.
+
+    The plain formulas the blocked kernel must reproduce bit for bit:
+    every margin mesh is materialized, then np.argmin and a count of
+    cells <= 0 run over it.
+    """
+    y = spec.y_values()
+    z = spec.z_values()
+    yc = y[:, None]
+    zr = z[None, :]
+    kl = kl_mesh(y, z)
+    diagonal_max = None
+    if inequality == "kl_quadratic":
+        margins = kl - 2.0 * (yc - zr) ** 2
+        on_diagonal = yc == zr
+        if np.any(on_diagonal):
+            diagonal_max = float(np.max(np.abs(margins[on_diagonal])))
+        off = np.where(on_diagonal, np.inf, margins)
+        rows = (_full_mesh_row(y, z, None, None, True, off),)
+    else:
+        informed = 2.0 * yc * (1.0 - yc)
+        abs_diff = np.abs(yc - zr)
+        mixture_err = yc * (1.0 - zr) + zr * (1.0 - yc)
+        half = np.minimum(y, 1.0 - y)[:, None]
+        if numerics.TIE_PREDICTION == 0:
+            predicted = (z > 0.5).astype(float)[None, :]
+        else:
+            predicted = (z >= 0.5).astype(float)[None, :]
+        theta_err = np.abs(yc - predicted)
+        sampler, admissible, evaluate = {
+            "distance": (
+                sample_distance_params, admissible_distance,
+                lambda a, b: a * informed + b * kl - abs_diff,
+            ),
+            "lower": (
+                sample_lower_params, admissible_lower,
+                lambda a, b: (a - 1.0) * informed + (b - 1.0) * kl + mixture_err,
+            ),
+            "threshold": (
+                sample_threshold_params, admissible_threshold,
+                lambda a, b: (a + 1.0) * half + (b + 1.0) * kl - theta_err,
+            ),
+        }[inequality]
+        if pairs is None:
+            pairs = sampler(spec.param_samples, spec.param_seed)
+        rows = tuple(
+            _full_mesh_row(y, z, a, b, admissible(a, b), evaluate(a, b))
+            for a, b in pairs
+        )
+    return MarginReport(
+        inequality=inequality, mode=mode, y_count=len(y), z_count=len(z),
+        epsilon=spec.epsilon, rows=rows, diagonal_max_abs=diagonal_max,
+    )
+
+
+CHECKS = {
+    "distance": check_distance_bound,
+    "lower": check_lower_bound,
+    "threshold": check_threshold_bound,
+    "kl_quadratic": check_kl_quadratic_bound,
+}
+
+# Explore pairs with violations, and with NaN cells: B = inf times the
+# zero KL on the diagonal.
+EXPLORE = {
+    "distance": [(1.0, 0.5), (0.0, math.inf), (1.0, 1.2)],
+    "lower": [(0.1, 1.05), (1.0, math.inf)],
+    "threshold": [(2.0, 0.0), (-1.0, math.inf)],
+}
+
+
+def assert_same_report(blocked, reference):
+    # repr is stricter than ==: it tells -0.0 from 0.0 and spells NaN,
+    # which never compares equal to itself.
+    assert repr(blocked.to_dict()) == repr(reference.to_dict())
+
+
+class TestBlockedScanMatchesFullMesh:
+    """The blocked kernel gives the full-mesh reports exactly.
+
+    Row counts sit around the block size: one partial block, one short
+    of a block, exactly one, one more (a trailing one-row block) and a
+    few blocks with a ragged end.
+    """
+
+    ROW_COUNTS = (
+        2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5,
+    )
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("y_count", ROW_COUNTS)
+    @pytest.mark.parametrize("inequality", sorted(CHECKS))
+    def test_strict_scans(self, inequality, y_count, threads):
+        spec = GridSpec(
+            y_count=y_count, z_count=29, refine_per_side=4, param_samples=5,
+        )
+        blocked = CHECKS[inequality](spec, threads=threads)
+        assert_same_report(blocked, full_mesh_report(spec, inequality))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("inequality", sorted(EXPLORE))
+    def test_explore_scans_with_violations_and_nan(self, inequality, threads):
+        spec = GridSpec(y_count=2 * _BLOCK_ROWS + 5, z_count=29,
+                        refine_per_side=4)
+        pairs = EXPLORE[inequality]
+        blocked = CHECKS[inequality](
+            spec, pairs=pairs, mode="explore", threads=threads,
+        )
+        reference = full_mesh_report(spec, inequality, pairs, "explore")
+        assert_same_report(blocked, reference)
+        assert any(row.violations > 0 for row in blocked.rows)
+        assert any(math.isnan(row.min_margin) for row in blocked.rows)
+
+    @pytest.mark.parametrize("tie", [0, 1])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_threshold_tie_prediction(self, monkeypatch, tie, threads):
+        monkeypatch.setattr(numerics, "TIE_PREDICTION", tie)
+        spec = GridSpec(y_count=_BLOCK_ROWS + 1, z_count=29, refine_per_side=4,
+                        param_samples=5)
+        assert 0.5 in spec.z_values()
+        pairs = [(2.0, 0.0), (0.5, 1.0)]
+        blocked = check_threshold_bound(
+            spec, pairs=pairs, mode="explore", threads=threads,
+        )
+        assert_same_report(
+            blocked, full_mesh_report(spec, "threshold", pairs, "explore"),
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_all_scans_shares_one_mesh(self, threads):
+        spec = GridSpec(y_count=_BLOCK_ROWS + 1, z_count=29, refine_per_side=4,
+                        param_samples=3)
+        explore = {name: pairs[:1] for name, pairs in EXPLORE.items()}
+        strict, explored = run_all_scans(spec, explore, threads=threads)
+        for report in strict:
+            assert_same_report(
+                report, full_mesh_report(spec, report.inequality),
+            )
+        for report in explored:
+            assert_same_report(report, full_mesh_report(
+                spec, report.inequality, explore[report.inequality],
+                "explore",
+            ))
+
+
+class TestArgminMerge:
+    def test_merge_matches_argmin_on_the_concatenation(self):
+        # An exact tie (1.0) across the first block boundary, -0.0 tying
+        # 0.0 later, then a NaN and a smaller value after it.
+        blocks = [
+            np.array([3.0, 1.0, 2.0]),
+            np.array([1.0, 5.0]),
+            np.array([0.0, 4.0]),
+            np.array([-0.0, 7.0]),
+            np.array([4.0, np.nan, 0.5]),
+            np.array([np.nan, -1.0]),
         ]
-        assert [r.a for r in serial.rows] == [r.a for r in parallel.rows]
+        starts = np.cumsum([0] + [len(block) for block in blocks])
+        partials = [
+            (float(block[np.argmin(block)]), int(start + np.argmin(block)))
+            for block, start in zip(blocks, starts)
+        ]
+        for end in range(1, len(blocks) + 1):
+            whole = np.concatenate(blocks[:end])
+            value, flat = _merge_minima(partials[:end])
+            assert flat == int(np.argmin(whole))
+            assert repr(value) == repr(float(whole[flat]))
+        assert _merge_minima(partials[:2]) == (1.0, 1)
+        assert repr(_merge_minima(partials[:4])) == repr((0.0, 5))
+        value, flat = _merge_minima(partials)
+        assert math.isnan(value) and flat == 10
+
+
+class TestKlMesh:
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_row_blocks_are_bitwise_equal(self, rows):
+        spec = GridSpec()
+        y = spec.y_values()
+        z = spec.z_values()
+        stacked = np.concatenate([
+            kl_mesh(y[start:start + rows], z)
+            for start in range(0, len(y), rows)
+        ])
+        whole = kl_mesh(y, z)
+        assert np.array_equal(stacked.view(np.int64), whole.view(np.int64))
 
 
 class TestKlQuadratic:
