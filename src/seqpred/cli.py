@@ -132,9 +132,7 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_inequalities(args) -> int:
     config = cfg.load_config(args.config)
-    section = config.get("inequalities", {})
-    if not isinstance(section, dict):
-        raise cfg.ConfigError("inequalities section must be an object")
+    section = cfg.read_section(config, "inequalities", ("grid", "explore"))
     grid = cfg.build_grid_spec(section.get("grid", {}))
     explore_pairs = cfg.build_explore_pairs(section.get("explore", {}))
     out = _out_dir(args)
@@ -197,16 +195,21 @@ def _game_predictor(name: str, rule, spec):
 
 def cmd_dicegame(args) -> int:
     config = cfg.load_config(args.config)
-    section = config.get("game", {})
-    if not isinstance(section, dict):
-        raise cfg.ConfigError("game section must be an object")
+    section = cfg.read_section(config, "game", (
+        "spec", "rule", "rounds", "games", "seed", "mode", "predictors",
+    ))
     spec = cfg.build_game_spec(section.get("spec", {}))
     rule = dealer_rule(section.get("rule", "constant-die1"))
-    rounds = section.get("rounds", 400)
-    games = section.get("games", 100)
+    rounds = cfg.int_field(section, "rounds", 400, 1, "game")
+    games = cfg.int_field(section, "games", 100, 1, "game")
     mode = section.get("mode", "sampled")
-    seed = args.seed if args.seed is not None else section.get("seed", 0)
+    seed = (
+        args.seed if args.seed is not None
+        else cfg.int_field(section, "seed", 0, 0, "game")
+    )
     names = section.get("predictors", list(_GAME_PREDICTORS[:5]))
+    if not isinstance(names, list):
+        raise cfg.ConfigError("game.predictors must be a list of names")
 
     out = _out_dir(args)
     turnaround = run_turnaround_experiment(

@@ -12,7 +12,7 @@ are optional; each command validates the ones it needs.
       "horizons": [4, 6, 8] | {"start": 4, "stop": 14, "step": 2},
       "mode": "exact" | "monte-carlo",
       "samples": 100000, "seed": 7,
-      "inequalities": {"grid": {...GridSpec fields}, "mode": "strict",
+      "inequalities": {"grid": {...GridSpec fields},
                        "explore": {"distance": [[1.0, 1.2]]}},
       "game": {"spec": {"stake_cents": 300, "payout_cents": 500},
                "rule": "constant-die1", "rounds": 400, "games": 100,
@@ -74,6 +74,32 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"{where} is missing required key {key!r}")
     return section[key]
+
+
+def _check_keys(section: dict, allowed, where: str) -> None:
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def read_section(config: dict, name: str, allowed) -> dict:
+    """config[name], or {} when absent; an object with only allowed keys."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} section must be an object")
+    _check_keys(section, allowed, name)
+    return section
+
+
+def int_field(section: dict, key: str, default: int, minimum: int,
+              where: str) -> int:
+    """section[key] (or default): an integer, not a bool, >= minimum."""
+    value = section.get(key, default)
+    if not _is_int(value) or value < minimum:
+        raise ConfigError(
+            f"{where}.{key} must be an integer >= {minimum}, got {value!r}"
+        )
+    return value
 
 
 def build_measure(spec, where: str = "measure") -> SequenceMeasure:
@@ -202,13 +228,10 @@ def resolve_mode(config: dict):
 def build_grid_spec(section) -> GridSpec:
     if not isinstance(section, dict):
         raise ConfigError("inequalities.grid must be an object")
-    allowed = {
+    _check_keys(section, (
         "y_count", "z_count", "epsilon", "refine_per_side",
         "param_samples", "param_seed",
-    }
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    ), "grid")
     for key, value in section.items():
         if key == "epsilon":
             if not _is_real(value):
@@ -261,10 +284,10 @@ def _is_real(value) -> bool:
 def build_game_spec(section) -> GameSpec:
     if not isinstance(section, dict):
         raise ConfigError("game.spec must be an object")
-    allowed = {"stake_cents", "payout_cents", "die1_white", "die2_white"}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown game.spec keys: {sorted(unknown)}")
+    _check_keys(
+        section, ("stake_cents", "payout_cents", "die1_white", "die2_white"),
+        "game.spec",
+    )
     kwargs = dict(section)
     try:
         for key in ("die1_white", "die2_white"):

@@ -8,11 +8,13 @@ white, bit 0 is black.  Die 1 shows white with probability 1/3 and die
 probability 1/3 and the game is profitable exactly when the per-round
 error rate stays below 1 - stake/payout.
 
-The dealer rule family shipped here (constant die, round alternation,
-one-bit outcome feedback, and two three-bit automata) is a design
-choice: any deterministic rule works, but a small enumerable family
-with index-code prior weights makes the complexity of each rule an
-exact, inspectable number and the turnaround analysis fully
+A dealer rule is data: a finite state machine held as two integer
+tables, the next state per (state, outcome bit) and the die per state,
+started in state 0.  The family shipped here (constant die, round
+alternation, one-bit outcome feedback, and two three-bit automata) is
+a design choice: any deterministic rule works, but a small enumerable
+family with index-code prior weights makes the complexity of each rule
+an exact, inspectable number and the turnaround analysis fully
 computable.
 
 Money is integer cents everywhere; expected-value mode produces
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import BinaryString, MeasureCursor, MeasureError, SequenceMeasure
+from .measures import BinaryString, MeasureError, SequenceMeasure
 from .numerics import fmt17
 from .predictors import Predictor, deterministic_wrap
 from .universal import MixtureMeasure, WeightedClass
@@ -84,94 +86,54 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class DealerRule:
-    """Deterministic die selection as a finite state machine.
+    """Deterministic die selection as a finite state machine, held as tables.
 
-    transition maps (state, outcome bit) to the next state and die_of
-    maps a state to the die rolled there.  Both must be total on the
-    reachable states; the measure walks them one outcome at a time.
+    States are 0..len(die) - 1 and the dealer starts in state 0;
+    next_state[state][bit] is the state after outcome bit and die[state]
+    the die rolled in that state.
     """
 
     name: str
-    start_state: object
-    transition: object
-    die_of: object
+    next_state: tuple
+    die: tuple
 
     def die_sequence(self, outcomes) -> list:
         """Dice chosen along a fixed outcome history, for inspection."""
-        state = self.start_state
+        state = 0
         dice = []
         for bit in outcomes:
-            dice.append(self.die_of(state))
-            state = self.transition(state, bit)
-        dice.append(self.die_of(state))
+            dice.append(self.die[state])
+            state = self.next_state[state][bit]
+        dice.append(self.die[state])
         return dice
 
 
-def _constant(die: int) -> DealerRule:
+def _window3(name: str, die_by_ones: tuple) -> DealerRule:
+    # State is the last three outcomes as a 3-bit number, oldest bit
+    # highest, seeded with black; the die depends on how many are white.
     return DealerRule(
-        name=f"constant-die{die}",
-        start_state=None,
-        transition=lambda state, bit: None,
-        die_of=lambda state: die,
+        name=name,
+        next_state=tuple(
+            ((state << 1) & 7, (state << 1 | 1) & 7) for state in range(8)
+        ),
+        die=tuple(die_by_ones[bin(state).count("1")] for state in range(8)),
     )
 
 
-def _alternating(first: int) -> DealerRule:
-    second = 3 - first
-    return DealerRule(
-        name=f"alternate-{first}{second}",
-        start_state=0,
-        transition=lambda state, bit: state ^ 1,
-        die_of=lambda state: first if state == 0 else second,
-    )
-
-
-def _feedback(repeat: bool) -> DealerRule:
-    # After a white outcome pick the white-leaning die 2 (repeat) or the
-    # black-leaning die 1 (oppose); round one behaves as if after black.
-    if repeat:
-        return DealerRule(
-            name="feedback-repeat",
-            start_state=0,
-            transition=lambda state, bit: bit,
-            die_of=lambda state: 2 if state == 1 else 1,
-        )
-    return DealerRule(
-        name="feedback-oppose",
-        start_state=0,
-        transition=lambda state, bit: bit,
-        die_of=lambda state: 1 if state == 1 else 2,
-    )
-
-
-def _majority3() -> DealerRule:
-    # State is the last three outcomes, oldest first, seeded with black.
-    return DealerRule(
-        name="majority3",
-        start_state=(0, 0, 0),
-        transition=lambda state, bit: state[1:] + (bit,),
-        die_of=lambda state: 2 if sum(state) >= 2 else 1,
-    )
-
-
-def _parity3() -> DealerRule:
-    return DealerRule(
-        name="parity3",
-        start_state=(0, 0, 0),
-        transition=lambda state, bit: state[1:] + (bit,),
-        die_of=lambda state: 2 if (state[0] ^ state[1] ^ state[2]) else 1,
-    )
-
-
+# Feedback rules remember the last outcome (round one behaves as if
+# after black) and roll the white-leaning die 2 after white (repeat) or
+# the black-leaning die 1 (oppose).
 DEALER_RULES = (
-    _constant(1),
-    _constant(2),
-    _alternating(1),
-    _alternating(2),
-    _feedback(True),
-    _feedback(False),
-    _majority3(),
-    _parity3(),
+    DealerRule("constant-die1", ((0, 0),), (1,)),
+    DealerRule("constant-die2", ((0, 0),), (2,)),
+    DealerRule("alternate-12", ((1, 1), (0, 0)), (1, 2)),
+    DealerRule("alternate-21", ((1, 1), (0, 0)), (2, 1)),
+    DealerRule("feedback-repeat", ((0, 1), (0, 1)), (1, 2)),
+    DealerRule("feedback-oppose", ((0, 1), (0, 1)), (2, 1)),
+    # majority3 rolls die 2 once two of the last three were white,
+    # parity3 when an odd number of them were.
+    _window3("majority3", (1, 1, 2, 2)),
+    _window3("parity3", (1, 2, 1, 2)),
 )
 
 
@@ -184,54 +146,43 @@ def dealer_rule(name: str) -> DealerRule:
 
 
 class GameMeasure(SequenceMeasure):
-    """Outcome distribution induced by a dealer rule and the two dice."""
+    """Outcome distribution induced by a dealer rule and the two dice.
+
+    The state is the dealer's state; each state's P(white) is cached as a
+    float from the two dice.
+    """
 
     def __init__(self, rule: DealerRule, spec: GameSpec | None = None):
         self.rule = rule
         self.spec = spec if spec is not None else GameSpec()
         self.name = f"game({rule.name})"
-
-    def _white(self, state) -> float:
-        return float(self.spec.white_probability(self.rule.die_of(state)))
+        white = {die: float(self.spec.white_probability(die)) for die in (1, 2)}
+        self._white = tuple(white[die] for die in rule.die)
 
     def log_prefix_probability(self, s: BinaryString) -> float:
-        state = self.rule.start_state
+        state = self.start()
         total = 0.0
         for bit in s:
-            p = self._white(state)
+            p = self._white[state]
             total += math.log(p if bit == 1 else 1.0 - p)
-            state = self.rule.transition(state, bit)
+            state = self.step(state, bit)
         return total
 
     def conditional(self, context: BinaryString, bit: int) -> float:
-        state = self.rule.start_state
+        state = self.start()
         for seen in context:
-            state = self.rule.transition(state, seen)
-        p = self._white(state)
+            state = self.step(state, seen)
+        p = self._white[state]
         return p if bit == 1 else 1.0 - p
 
-    def cursor(self) -> "_GameCursor":
-        return _GameCursor(self, self.rule.start_state, 0.0)
+    def start(self):
+        return 0
 
+    def p1(self, state) -> float:
+        return self._white[state]
 
-class _GameCursor(MeasureCursor):
-    __slots__ = ("state",)
-
-    def __init__(self, measure, state, log_probability):
-        self.measure = measure
-        self.state = state
-        self.log_probability = log_probability
-
-    def conditional(self, bit: int) -> float:
-        p = self.measure._white(self.state)
-        return p if bit == 1 else 1.0 - p
-
-    def advanced(self, bit: int) -> "_GameCursor":
-        p = self.conditional(bit)
-        lp = self.log_probability + (math.log(p) if p > 0.0 else -math.inf)
-        return _GameCursor(
-            self.measure, self.measure.rule.transition(self.state, bit), lp,
-        )
+    def step(self, state, bit: int):
+        return self.rule.next_state[state][bit]
 
 
 def dealer_class(spec: GameSpec | None = None) -> WeightedClass:
@@ -357,17 +308,18 @@ def play(
     if mode not in ("sampled", "expected"):
         raise GameError(f"mode must be 'sampled' or 'expected', got {mode!r}")
     rng = np.random.default_rng(seed)
-    env = GameMeasure(rule, spec).cursor()
-    caller = predictor.cursor()
+    env = GameMeasure(rule, spec)
+    env_state = env.start()
+    caller_state = predictor.start()
     outcomes = []
     profits = []
     errors = []
     running_profit = 0 if mode == "sampled" else 0.0
     running_errors = 0 if mode == "sampled" else 0.0
     for _ in range(n):
-        p_white = env.conditional(1)
+        p_white = env.p1(env_state)
         outcome = 1 if rng.random() < p_white else 0
-        call_white = caller.probability_of_one()
+        call_white = predictor.p1(caller_state)
         if mode == "sampled":
             call = 1 if rng.random() < call_white else 0
             wrong = int(call != outcome)
@@ -380,8 +332,8 @@ def play(
         outcomes.append(outcome)
         profits.append(running_profit)
         errors.append(running_errors)
-        env = env.advanced(outcome)
-        caller = caller.advanced(outcome)
+        env_state = env.step(env_state, outcome)
+        caller_state = predictor.step(caller_state, outcome)
     return ProfitTrace(
         rule_name=rule.name,
         predictor_name=predictor.name,

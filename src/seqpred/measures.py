@@ -98,9 +98,23 @@ class SequenceMeasure(ABC):
         lp_ext = self.log_prefix_probability(context.extended(bit))
         return math.exp(lp_ext - lp_ctx)
 
+    # A measure is also a state-transition rule: start() is the state at
+    # the empty context, p1(state) is P(next bit = 1) there and
+    # step(state, bit) the state after one more bit.  The default state is
+    # the context itself; families override the three with small states.
+
+    def start(self):
+        return EMPTY
+
+    def p1(self, state) -> float:
+        return self.conditional(state, 1)
+
+    def step(self, state, bit: int):
+        return state.extended(bit)
+
     def cursor(self) -> "MeasureCursor":
         """Stateful reader positioned at the empty context."""
-        return MeasureCursor(self, EMPTY, 0.0)
+        return MeasureCursor(self, self.start())
 
     def sample_path(self, n: int, seed: int) -> BinaryString:
         """Draw x_1..x_n by sampling each conditional in turn."""
@@ -125,22 +139,18 @@ class MeasureCursor:
     enumerations can share a parent cursor between both children.
     """
 
-    __slots__ = ("measure", "context", "log_probability")
+    __slots__ = ("measure", "state")
 
-    def __init__(self, measure, context, log_probability):
+    def __init__(self, measure, state):
         self.measure = measure
-        self.context = context
-        self.log_probability = log_probability
+        self.state = state
 
     def conditional(self, bit: int) -> float:
-        if self.log_probability == -math.inf:
-            raise NullEventError(NULL_EVENT_MESSAGE)
-        return self.measure.conditional(self.context, bit)
+        p1 = self.measure.p1(self.state)
+        return p1 if bit == 1 else 1.0 - p1
 
     def advanced(self, bit: int) -> "MeasureCursor":
-        p = self.conditional(bit)
-        lp = self.log_probability + (math.log(p) if p > 0.0 else -math.inf)
-        return MeasureCursor(self.measure, self.context.extended(bit), lp)
+        return MeasureCursor(self.measure, self.measure.step(self.state, bit))
 
 
 def chain_probability(measure: SequenceMeasure, s: BinaryString) -> float:
@@ -177,23 +187,14 @@ class BernoulliMeasure(SequenceMeasure):
     def conditional(self, context: BinaryString, bit: int) -> float:
         return self.theta if bit == 1 else 1.0 - self.theta
 
-    def cursor(self) -> MeasureCursor:
-        return _BernoulliCursor(self, EMPTY, 0.0)
+    def start(self):
+        return None
 
+    def p1(self, state) -> float:
+        return self.theta
 
-class _BernoulliCursor(MeasureCursor):
-    __slots__ = ()
-
-    def conditional(self, bit: int) -> float:
-        m = self.measure
-        return m.theta if bit == 1 else 1.0 - m.theta
-
-    def advanced(self, bit: int) -> "_BernoulliCursor":
-        lp = self.log_probability + (
-            self.measure._log_theta if bit == 1 else self.measure._log_comp
-        )
-        # The context tuple is not carried; Bernoulli conditionals ignore it.
-        return _BernoulliCursor(self.measure, EMPTY, lp)
+    def step(self, state, bit: int):
+        return None
 
 
 class MarkovMeasure(SequenceMeasure):
@@ -232,26 +233,34 @@ class MarkovMeasure(SequenceMeasure):
         if missing:
             raise MeasureError(f"Markov table is missing patterns: {missing}")
         self.table = normalized
+        self._p1 = {
+            tuple(int(ch) for ch in key): value for key, value in normalized.items()
+        }
         self.name = name if name is not None else f"markov{order}"
 
-    def _pattern(self, bits: tuple[int, ...]) -> str:
-        window = bits[-self.order:] if len(bits) > self.order else bits
-        return "".join(str(b) for b in window)
-
     def conditional(self, context: BinaryString, bit: int) -> float:
-        p1 = self.table[self._pattern(context.bits)]
+        p1 = self.p1(context.bits[-self.order:])
         return p1 if bit == 1 else 1.0 - p1
 
     def log_prefix_probability(self, s: BinaryString) -> float:
         total = 0.0
-        bits = s.bits
-        for k, bit in enumerate(bits):
-            p1 = self.table[self._pattern(bits[:k])]
+        state = self.start()
+        for bit in s:
+            p1 = self.p1(state)
             total += math.log(p1 if bit == 1 else 1.0 - p1)
+            state = self.step(state, bit)
         return total
 
-    def cursor(self) -> MeasureCursor:
-        return _MarkovCursor(self, (), 0.0)
+    # The state is the window of the last min(position, order) bits.
+
+    def start(self):
+        return ()
+
+    def p1(self, state) -> float:
+        return self._p1[state]
+
+    def step(self, state, bit: int):
+        return (state + (bit,))[-self.order:]
 
     @classmethod
     def random(cls, order: int, rng, low: float = 0.1, high: float = 0.9,
@@ -262,21 +271,6 @@ class MarkovMeasure(SequenceMeasure):
                 key = format(i, f"0{width}b") if width else ""
                 table[key] = float(rng.uniform(low, high))
         return cls(order, table, name=name)
-
-
-class _MarkovCursor(MeasureCursor):
-    """Carries only the last `order` bits instead of the full context."""
-
-    __slots__ = ()
-
-    def conditional(self, bit: int) -> float:
-        p1 = self.measure.table[self.measure._pattern(self.context)]
-        return p1 if bit == 1 else 1.0 - p1
-
-    def advanced(self, bit: int) -> "_MarkovCursor":
-        p = self.conditional(bit)
-        window = (self.context + (bit,))[-self.measure.order:]
-        return _MarkovCursor(self.measure, window, self.log_probability + math.log(p))
 
 
 class DeterministicMeasure(SequenceMeasure):
@@ -305,24 +299,20 @@ class DeterministicMeasure(SequenceMeasure):
             raise NullEventError(NULL_EVENT_MESSAGE)
         return 1.0 if bit == self.target_bit(len(context)) else 0.0
 
-    def cursor(self) -> MeasureCursor:
-        return _DeterministicCursor(self, 0, 0.0)
+    # The state is the position on the target, or None once off it.
 
+    def start(self):
+        return 0
 
-class _DeterministicCursor(MeasureCursor):
-    """Tracks only the position; context is the target prefix by construction."""
-
-    __slots__ = ()
-
-    def conditional(self, bit: int) -> float:
-        if self.log_probability == -math.inf:
+    def p1(self, state) -> float:
+        if state is None:
             raise NullEventError(NULL_EVENT_MESSAGE)
-        return 1.0 if bit == self.measure.target_bit(self.context) else 0.0
+        return 1.0 if self.target_bit(state) == 1 else 0.0
 
-    def advanced(self, bit: int) -> "_DeterministicCursor":
-        p = self.conditional(bit)
-        lp = self.log_probability if p == 1.0 else -math.inf
-        return _DeterministicCursor(self.measure, self.context + 1, lp)
+    def step(self, state, bit: int):
+        if state is None or bit != self.target_bit(state):
+            return None
+        return state + 1
 
 
 def named_generator(name: str, fuel: int = 100_000):

@@ -24,6 +24,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,42 @@ class PredictionError(MeasureError):
     """Invalid prediction request or report operation."""
 
 
+_STEP_FIELDS = (
+    "informed",
+    "mixture",
+    "general",
+    "distance",
+    "quadratic",
+    "entropy",
+    "threshold_informed",
+    "threshold_mixture",
+    "threshold_gap",
+)
+
+
+def step_terms(y: float, z: float, r: float | None = None, weight: float = 1.0):
+    """The per-step quantities in _STEP_FIELDS order, each scaled by weight.
+
+    The weight multiplies first (weight * 2.0 * y * (1.0 - y)), so the
+    exact walk's probability-weighted terms and the unweighted terms of
+    Monte Carlo and StepQuantities come from the same expressions; the
+    general term is None without a predictor conditional r.
+    """
+    e_theta_mix = abs(y - threshold_step(z - 0.5))
+    e_theta_inf = y if y < 1.0 - y else 1.0 - y
+    return (
+        weight * 2.0 * y * (1.0 - y),
+        weight * (y * (1.0 - z) + (1.0 - y) * z),
+        None if r is None else weight * (y * (1.0 - r) + (1.0 - y) * r),
+        weight * abs(y - z),
+        weight * (y - z) ** 2,
+        weight * kl_bernoulli(y, z),
+        weight * e_theta_inf,
+        weight * e_theta_mix,
+        weight * abs(e_theta_mix - e_theta_inf),
+    )
+
+
 @dataclass(frozen=True)
 class StepQuantities:
     """Conditionals for one step: informed y, mixture z, optional general r."""
@@ -64,39 +101,43 @@ class StepQuantities:
             if value is not None and not 0.0 <= value <= 1.0:
                 raise PredictionError(f"{label} outside [0, 1]: {value}")
 
+    @cached_property
+    def _terms(self) -> dict:
+        return dict(zip(_STEP_FIELDS, step_terms(self.y, self.z, self.r)))
+
     @property
     def informed_error(self) -> float:
-        return 2.0 * self.y * (1.0 - self.y)
+        return self._terms["informed"]
 
     @property
     def mixture_error(self) -> float:
-        return self.y * (1.0 - self.z) + (1.0 - self.y) * self.z
+        return self._terms["mixture"]
 
     @property
     def general_error(self) -> float:
         if self.r is None:
             raise PredictionError("no general predictor conditional supplied")
-        return self.y * (1.0 - self.r) + (1.0 - self.y) * self.r
+        return self._terms["general"]
 
     @property
     def distance(self) -> float:
-        return abs(self.y - self.z)
+        return self._terms["distance"]
 
     @property
     def quadratic_distance(self) -> float:
-        return (self.y - self.z) ** 2
+        return self._terms["quadratic"]
 
     @property
     def relative_entropy(self) -> float:
-        return kl_bernoulli(self.y, self.z)
+        return self._terms["entropy"]
 
     @property
     def threshold_mixture_error(self) -> float:
-        return abs(self.y - threshold_step(self.z - 0.5))
+        return self._terms["threshold_mixture"]
 
     @property
     def threshold_informed_error(self) -> float:
-        return min(self.y, 1.0 - self.y)
+        return self._terms["threshold_informed"]
 
 
 def step_error(quantities: StepQuantities, scheme: str) -> float:
@@ -123,8 +164,20 @@ class Predictor(ABC):
     def probability_of_one(self, context: BinaryString) -> float:
         ...
 
+    # The same state-transition rule as SequenceMeasure: the default state
+    # is the context itself.
+
+    def start(self):
+        return EMPTY
+
+    def p1(self, state) -> float:
+        return self.probability_of_one(state)
+
+    def step(self, state, bit: int):
+        return state.extended(bit)
+
     def cursor(self) -> "PredictorCursor":
-        return PredictorCursor(self, EMPTY)
+        return PredictorCursor(self, self.start())
 
 
 class PredictorCursor:
@@ -137,10 +190,12 @@ class PredictorCursor:
         self.state = state
 
     def probability_of_one(self) -> float:
-        return self.predictor.probability_of_one(self.state)
+        return self.predictor.p1(self.state)
 
     def advanced(self, bit: int) -> "PredictorCursor":
-        return PredictorCursor(self.predictor, self.state.extended(bit))
+        return PredictorCursor(
+            self.predictor, self.predictor.step(self.state, bit)
+        )
 
 
 class MeasurePredictor(Predictor):
@@ -153,18 +208,14 @@ class MeasurePredictor(Predictor):
     def probability_of_one(self, context: BinaryString) -> float:
         return self.measure.conditional(context, 1)
 
-    def cursor(self) -> PredictorCursor:
-        return _MeasurePredictorCursor(self, self.measure.cursor())
+    def start(self):
+        return self.measure.start()
 
+    def p1(self, state) -> float:
+        return self.measure.p1(state)
 
-class _MeasurePredictorCursor(PredictorCursor):
-    __slots__ = ()
-
-    def probability_of_one(self) -> float:
-        return self.state.conditional(1)
-
-    def advanced(self, bit: int) -> "_MeasurePredictorCursor":
-        return _MeasurePredictorCursor(self.predictor, self.state.advanced(bit))
+    def step(self, state, bit: int):
+        return self.measure.step(state, bit)
 
 
 class ConstantPredictor(Predictor):
@@ -179,18 +230,14 @@ class ConstantPredictor(Predictor):
     def probability_of_one(self, context: BinaryString) -> float:
         return self.p
 
-    def cursor(self) -> PredictorCursor:
-        return _ConstantCursor(self, None)
+    def start(self):
+        return None
 
+    def p1(self, state) -> float:
+        return self.p
 
-class _ConstantCursor(PredictorCursor):
-    __slots__ = ()
-
-    def probability_of_one(self) -> float:
-        return self.predictor.p
-
-    def advanced(self, bit: int) -> "_ConstantCursor":
-        return self
+    def step(self, state, bit: int):
+        return None
 
 
 class LaplaceRulePredictor(Predictor):
@@ -201,20 +248,16 @@ class LaplaceRulePredictor(Predictor):
     def probability_of_one(self, context: BinaryString) -> float:
         return (context.count(1) + 1.0) / (len(context) + 2.0)
 
-    def cursor(self) -> PredictorCursor:
-        return _LaplaceCursor(self, (0, 0))
+    def start(self):
+        return (0, 0)
 
-
-class _LaplaceCursor(PredictorCursor):
-    __slots__ = ()
-
-    def probability_of_one(self) -> float:
-        length, ones = self.state
+    def p1(self, state) -> float:
+        length, ones = state
         return (ones + 1.0) / (length + 2.0)
 
-    def advanced(self, bit: int) -> "_LaplaceCursor":
-        length, ones = self.state
-        return _LaplaceCursor(self.predictor, (length + 1, ones + bit))
+    def step(self, state, bit: int):
+        length, ones = state
+        return (length + 1, ones + bit)
 
 
 class ThresholdPredictor(Predictor):
@@ -231,18 +274,14 @@ class ThresholdPredictor(Predictor):
     def probability_of_one(self, context: BinaryString) -> float:
         return float(threshold_step(self.base.probability_of_one(context) - 0.5))
 
-    def cursor(self) -> PredictorCursor:
-        return _ThresholdCursor(self, self.base.cursor())
+    def start(self):
+        return self.base.start()
 
+    def p1(self, state) -> float:
+        return float(threshold_step(self.base.p1(state) - 0.5))
 
-class _ThresholdCursor(PredictorCursor):
-    __slots__ = ()
-
-    def probability_of_one(self) -> float:
-        return float(threshold_step(self.state.probability_of_one() - 0.5))
-
-    def advanced(self, bit: int) -> "_ThresholdCursor":
-        return _ThresholdCursor(self.predictor, self.state.advanced(bit))
+    def step(self, state, bit: int):
+        return self.base.step(state, bit)
 
 
 def deterministic_wrap(source) -> ThresholdPredictor:
@@ -252,19 +291,6 @@ def deterministic_wrap(source) -> ThresholdPredictor:
     if not isinstance(source, Predictor):
         raise PredictionError(f"cannot wrap {source!r} as a predictor")
     return ThresholdPredictor(source)
-
-
-_STEP_FIELDS = (
-    "informed",
-    "mixture",
-    "general",
-    "distance",
-    "quadratic",
-    "entropy",
-    "threshold_informed",
-    "threshold_mixture",
-    "threshold_gap",
-)
 
 
 @dataclass(frozen=True)
@@ -425,13 +451,13 @@ def exact_expectations(
             "use monte_carlo_expectations"
         )
     track_rho = rho is not None
-    steps = {name: [0.0] * n for name in _STEP_FIELDS}
+    steps = [[0.0] * n for _ in _STEP_FIELDS]
     if not track_rho:
-        steps["general"] = None
+        steps[_STEP_FIELDS.index("general")] = None
     leaf_terms = []
     path = []
 
-    def walk(k, log_mu, mu_cur, xi_cur, rho_cur):
+    def walk(k, log_mu, mu_state, xi_state, rho_state):
         if k == n:
             # Independent route for the telescoped entropy total: both
             # prefix probabilities are recomputed from scratch.
@@ -440,22 +466,12 @@ def exact_expectations(
             lx = xi.log_prefix_probability(leaf)
             leaf_terms.append(math.exp(lm) * (lm - lx))
             return
-        weight = math.exp(log_mu)
-        y = mu_cur.conditional(1)
-        z = xi_cur.conditional(1)
-        e_theta_mix = abs(y - threshold_step(z - 0.5))
-        e_theta_inf = y if y < 1.0 - y else 1.0 - y
-        steps["informed"][k] += weight * 2.0 * y * (1.0 - y)
-        steps["mixture"][k] += weight * (y * (1.0 - z) + (1.0 - y) * z)
-        if track_rho:
-            r = rho_cur.probability_of_one()
-            steps["general"][k] += weight * (y * (1.0 - r) + (1.0 - y) * r)
-        steps["distance"][k] += weight * abs(y - z)
-        steps["quadratic"][k] += weight * (y - z) ** 2
-        steps["entropy"][k] += weight * kl_bernoulli(y, z)
-        steps["threshold_informed"][k] += weight * e_theta_inf
-        steps["threshold_mixture"][k] += weight * e_theta_mix
-        steps["threshold_gap"][k] += weight * abs(e_theta_mix - e_theta_inf)
+        y = mu.p1(mu_state)
+        z = xi.p1(xi_state)
+        r = rho.p1(rho_state) if track_rho else None
+        for row, term in zip(steps, step_terms(y, z, r, math.exp(log_mu))):
+            if row is not None:
+                row[k] += term
         for bit, p_mu in ((0, 1.0 - y), (1, y)):
             if p_mu <= 0.0:
                 continue
@@ -463,16 +479,16 @@ def exact_expectations(
             walk(
                 k + 1,
                 log_mu + math.log(p_mu),
-                mu_cur.advanced(bit),
-                xi_cur.advanced(bit),
-                rho_cur.advanced(bit) if track_rho else None,
+                mu.step(mu_state, bit),
+                xi.step(xi_state, bit),
+                rho.step(rho_state, bit) if track_rho else None,
             )
             path.pop()
 
-    walk(0, 0.0, mu.cursor(), xi.cursor(), rho.cursor() if track_rho else None)
+    walk(0, 0.0, mu.start(), xi.start(), rho.start() if track_rho else None)
 
     telescoped = math.fsum(leaf_terms)
-    entropy_total = math.fsum(steps["entropy"])
+    entropy_total = math.fsum(steps[_STEP_FIELDS.index("entropy")])
     if math.isfinite(entropy_total) and abs(entropy_total - telescoped) > 1e-9:
         raise PredictionError(
             "entropy total disagrees with its telescoped form: "
@@ -486,8 +502,8 @@ def exact_expectations(
         rho_name=rho.name if track_rho else None,
         telescoped_entropy=telescoped,
         **{
-            f"step_{name}": (None if steps[name] is None else tuple(steps[name]))
-            for name in _STEP_FIELDS
+            f"step_{name}": (None if row is None else tuple(row))
+            for name, row in zip(_STEP_FIELDS, steps)
         },
     )
 
@@ -515,52 +531,41 @@ def monte_carlo_expectations(
     track_rho = rho is not None
     rng = np.random.default_rng(seed)
     names = [name for name in _STEP_FIELDS if track_rho or name != "general"]
-
     codes = np.ones(samples, dtype=np.int64)  # leading sentinel bit
-    cursors = {1: (mu.cursor(), xi.cursor(), rho.cursor() if track_rho else None)}
+    states = {1: (mu.start(), xi.start(), rho.start() if track_rho else None)}
     per_path = {name: np.zeros(samples) for name in names}
     step_means = {name: [] for name in names}
 
     for _ in range(n):
         unique, inverse = np.unique(codes, return_inverse=True)
-        values = {name: np.empty(len(unique)) for name in names}
+        rows = []
         y_vals = np.empty(len(unique))
         for idx, code in enumerate(unique):
-            mu_cur, xi_cur, rho_cur = cursors[int(code)]
-            y = mu_cur.conditional(1)
-            z = xi_cur.conditional(1)
+            mu_state, xi_state, rho_state = states[int(code)]
+            y = mu.p1(mu_state)
+            z = xi.p1(xi_state)
+            r = rho.p1(rho_state) if track_rho else None
             y_vals[idx] = y
-            e_theta_mix = abs(y - threshold_step(z - 0.5))
-            e_theta_inf = min(y, 1.0 - y)
-            values["informed"][idx] = 2.0 * y * (1.0 - y)
-            values["mixture"][idx] = y * (1.0 - z) + (1.0 - y) * z
-            if track_rho:
-                r = rho_cur.probability_of_one()
-                values["general"][idx] = y * (1.0 - r) + (1.0 - y) * r
-            values["distance"][idx] = abs(y - z)
-            values["quadratic"][idx] = (y - z) ** 2
-            values["entropy"][idx] = kl_bernoulli(y, z)
-            values["threshold_informed"][idx] = e_theta_inf
-            values["threshold_mixture"][idx] = e_theta_mix
-            values["threshold_gap"][idx] = abs(e_theta_mix - e_theta_inf)
-        for name in names:
-            gathered = values[name][inverse]
+            rows.append([t for t in step_terms(y, z, r) if t is not None])
+        values = np.array(rows).T
+        for name, column in zip(names, values):
+            gathered = column[inverse]
             per_path[name] += gathered
             step_means[name].append(float(gathered.mean()))
         draws = rng.random(samples)
         bits = (draws < y_vals[inverse]).astype(np.int64)
         new_codes = codes * 2 + bits
-        next_cursors = {}
+        next_states = {}
         for child in np.unique(new_codes):
             child = int(child)
             parent, bit = child >> 1, child & 1
-            mu_cur, xi_cur, rho_cur = cursors[parent]
-            next_cursors[child] = (
-                mu_cur.advanced(bit),
-                xi_cur.advanced(bit),
-                rho_cur.advanced(bit) if track_rho else None,
+            mu_state, xi_state, rho_state = states[parent]
+            next_states[child] = (
+                mu.step(mu_state, bit),
+                xi.step(xi_state, bit),
+                rho.step(rho_state, bit) if track_rho else None,
             )
-        codes, cursors = new_codes, next_cursors
+        codes, states = new_codes, next_states
 
     std_errors = {
         name: float(per_path[name].std(ddof=1) / math.sqrt(samples))

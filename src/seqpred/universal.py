@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 
 from .measures import (
-    EMPTY,
     BinaryString,
-    MeasureCursor,
     MeasureError,
     NullEventError,
     NULL_EVENT_MESSAGE,
@@ -111,6 +109,7 @@ class MixtureMeasure(SequenceMeasure):
             math.log(w) for _, w in weighted_class.components
         )
         self._log_weight_sum = math.log(weighted_class.weight_sum)
+        self._measures = weighted_class.measures()
 
     def log_prefix_probability(self, s: BinaryString) -> float:
         terms = [
@@ -119,9 +118,44 @@ class MixtureMeasure(SequenceMeasure):
         ]
         return logsumexp(terms) - self._log_weight_sum
 
-    def cursor(self) -> "_MixtureCursor":
-        parts = tuple(m.cursor() for m, _ in self.weighted_class.components)
-        return _MixtureCursor(self, EMPTY, 0.0, parts, self._log_weights)
+    # The state pairs each component's state with its weighted log mass
+    # w_i nu_i(context) in log space.  A component that died on the path
+    # (a deterministic measure off its target) keeps mass -inf and is
+    # never stepped again.
+
+    def start(self):
+        return tuple(
+            (m.start(), lw)
+            for (m, _), lw in zip(self.weighted_class.components, self._log_weights)
+        )
+
+    def p1(self, state) -> float:
+        den = logsumexp([term for _, term in state])
+        if den == -math.inf:
+            raise NullEventError(NULL_EVENT_MESSAGE)
+        num_terms = []
+        for m, (part, term) in zip(self._measures, state):
+            if term == -math.inf:
+                num_terms.append(-math.inf)
+                continue
+            p = m.p1(part)
+            num_terms.append(term + math.log(p) if p > 0.0 else -math.inf)
+        return math.exp(logsumexp(num_terms) - den)
+
+    def step(self, state, bit: int):
+        new_state = []
+        for m, (part, term) in zip(self._measures, state):
+            if term == -math.inf:
+                new_state.append((None, -math.inf))
+                continue
+            p = m.p1(part)
+            if bit == 0:
+                p = 1.0 - p
+            if p <= 0.0:
+                new_state.append((None, -math.inf))
+            else:
+                new_state.append((m.step(part, bit), term + math.log(p)))
+        return tuple(new_state)
 
     def posterior(self, context: BinaryString):
         """Posterior component weights given the observed context."""
@@ -134,54 +168,6 @@ class MixtureMeasure(SequenceMeasure):
             raise NullEventError(NULL_EVENT_MESSAGE)
         names = self.weighted_class.names()
         return [(name, math.exp(t - total)) for name, t in zip(names, terms)]
-
-
-class _MixtureCursor(MeasureCursor):
-    """Carries one cursor per component plus their weighted log masses.
-
-    Components that died on the observed path (deterministic measures off
-    their target) are kept as None with a -inf term and never revived.
-    """
-
-    __slots__ = ("parts", "log_terms")
-
-    def __init__(self, measure, context, log_probability, parts, log_terms):
-        super().__init__(measure, context, log_probability)
-        self.parts = parts
-        self.log_terms = log_terms
-
-    def conditional(self, bit: int) -> float:
-        den = logsumexp(self.log_terms)
-        if den == -math.inf:
-            raise NullEventError(NULL_EVENT_MESSAGE)
-        num_terms = []
-        for part, term in zip(self.parts, self.log_terms):
-            if part is None or term == -math.inf:
-                num_terms.append(-math.inf)
-                continue
-            p = part.conditional(bit)
-            num_terms.append(term + math.log(p) if p > 0.0 else -math.inf)
-        return math.exp(logsumexp(num_terms) - den)
-
-    def advanced(self, bit: int) -> "_MixtureCursor":
-        new_parts = []
-        new_terms = []
-        for part, term in zip(self.parts, self.log_terms):
-            if part is None or term == -math.inf:
-                new_parts.append(None)
-                new_terms.append(-math.inf)
-                continue
-            p = part.conditional(bit)
-            if p <= 0.0:
-                new_parts.append(None)
-                new_terms.append(-math.inf)
-            else:
-                new_parts.append(part.advanced(bit))
-                new_terms.append(term + math.log(p))
-        lp = logsumexp(new_terms) - self.measure._log_weight_sum
-        return _MixtureCursor(
-            self.measure, EMPTY, lp, tuple(new_parts), tuple(new_terms)
-        )
 
 
 def mixture(weighted_class: WeightedClass, name: str = "mixture") -> MixtureMeasure:

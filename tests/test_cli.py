@@ -212,6 +212,18 @@ class TestInequalities:
             tmp_path, capsys, self.small_grid_config(explore)["inequalities"],
         )
 
+    @pytest.mark.parametrize("extra", [
+        {"mode": "bogus"},
+        {"mode": "strict"},
+        {"explorer": {"distance": [[1.0, 1.2]]}},
+    ])
+    def test_unknown_section_key_is_config_error(self, tmp_path, capsys,
+                                                 extra):
+        section = self.small_grid_config()["inequalities"]
+        section.update(extra)
+        self.assert_config_error(tmp_path, capsys, section)
+        assert list(tmp_path.glob("margins-*.csv")) == []
+
     def test_unknown_explore_name_fails_before_any_scan(
         self, tmp_path, capsys, monkeypatch,
     ):
@@ -305,6 +317,29 @@ class TestDicegame:
         code = run(["dicegame", "--config", config, "--out", str(tmp_path)])
         assert code == 2
         assert "unknown game predictor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [
+        {"rounds": "40"},
+        {"rounds": 40.5},
+        {"rounds": 0},
+        {"rounds": True},
+        {"games": 0},
+        {"games": "3"},
+        {"seed": "x"},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"predictors": 5},
+        {"bogus_key": 1},
+    ])
+    def test_malformed_game_section_is_config_error(self, tmp_path, capsys,
+                                                    field):
+        config = write_config(tmp_path, self.game_config(**field))
+        code = run(["dicegame", "--config", config, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert next(iter(field)) in err
 
 
 class TestSimulate:

@@ -173,13 +173,3 @@ class TestCursor:
                 m.conditional(s.prefix(k), bit), rel=1e-12
             )
             cur = cur.advanced(bit)
-        assert cur.log_probability == pytest.approx(
-            m.log_prefix_probability(s), rel=1e-12
-        )
-
-    def test_bernoulli_cursor_log_probability(self):
-        m = BernoulliMeasure(0.3)
-        cur = m.cursor()
-        for bit in (1, 0, 1):
-            cur = cur.advanced(bit)
-        assert cur.log_probability == pytest.approx(math.log(0.3**2 * 0.7))
