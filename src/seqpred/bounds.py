@@ -134,19 +134,11 @@ def _require_exact(report: ExpectationReport) -> None:
         raise BoundsInputError("bounds require exact expectations")
 
 
-def _general_source(report, rho_report):
+def _general_source(report):
     """Totals and steps for the general predictor, if any were computed."""
-    source = rho_report if rho_report is not None else report
-    if rho_report is not None:
-        _require_exact(rho_report)
-        if rho_report.horizon != report.horizon:
-            raise BoundsInputError(
-                f"general-predictor report horizon {rho_report.horizon} "
-                f"does not match {report.horizon}"
-            )
-    if source.step_general is None:
+    if report.step_general is None:
         return None, None
-    return source.total("general"), source.step_general
+    return report.total("general"), report.step_general
 
 
 def _budget_relations(entropy, entropy_cap, quadratic):
@@ -168,7 +160,6 @@ def _budget_relations(entropy, entropy_cap, quadratic):
 
 def check_probabilistic_bounds(
     report: ExpectationReport,
-    rho_report: ExpectationReport | None = None,
     entropy_cap: float | None = None,
 ) -> BoundReport:
     """Verify the probabilistic-scheme relations on an exact report."""
@@ -178,7 +169,7 @@ def check_probabilistic_bounds(
     d1 = report.distance_total
     d2 = report.quadratic_total
     h = report.entropy_total
-    e_gen, step_gen = _general_source(report, rho_report)
+    e_gen, step_gen = _general_source(report)
 
     rels = [
         _relation("gap_within_total_variation",
@@ -235,7 +226,6 @@ def check_probabilistic_bounds(
 
 def check_threshold_bounds(
     report: ExpectationReport,
-    rho_report: ExpectationReport | None = None,
     entropy_cap: float | None = None,
 ) -> BoundReport:
     """Verify the thresholded-scheme relations on an exact report."""
@@ -244,7 +234,7 @@ def check_threshold_bounds(
     t_mix = report.threshold_mixture_total
     h = report.entropy_total
     gap = t_mix - t_inf
-    e_gen, step_gen = _general_source(report, rho_report)
+    e_gen, step_gen = _general_source(report)
 
     rels = [
         _relation("threshold_gap_nonnegative",

@@ -281,9 +281,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_approximate_m(args) -> int:
     config = cfg.load_config(args.config)
-    section = config.get("semimeasure", {})
-    if not isinstance(section, dict):
-        raise cfg.ConfigError("semimeasure section must be an object")
+    section = cfg.read_section(
+        config, "semimeasure", ("machine", "cap", "fuel", "depth"),
+    )
     machine_name = section.get("machine", "echo")
     if machine_name == "echo":
         machine = EchoMachine()
@@ -293,9 +293,9 @@ def cmd_approximate_m(args) -> int:
         raise cfg.ConfigError(
             f"unknown machine {machine_name!r}; known: echo, register"
         )
-    cap = section.get("cap", 12)
-    fuel = section.get("fuel", 64)
-    depth = section.get("depth", 6)
+    cap = cfg.int_field(section, "cap", 12, 1, "semimeasure")
+    fuel = cfg.int_field(section, "fuel", 64, 1, "semimeasure")
+    depth = cfg.int_field(section, "depth", 6, 1, "semimeasure")
     table = approximate_mass(machine, cap=cap, fuel=fuel, depth=depth)
     out = _out_dir(args)
     with open(out / "semimeasure-table.json", "w") as fh:
@@ -367,6 +367,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise cfg.ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

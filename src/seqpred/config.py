@@ -91,9 +91,14 @@ def read_section(config: dict, name: str, allowed) -> dict:
     return section
 
 
-def int_field(section: dict, key: str, default: int, minimum: int,
+def int_field(section: dict, key: str, default: int | None, minimum: int,
               where: str) -> int:
-    """section[key] (or default): an integer, not a bool, >= minimum."""
+    """section[key] (or default): an integer, not a bool, >= minimum.
+
+    A default of None makes the key required.
+    """
+    if default is None:
+        _require(section, key, where)
     value = section.get(key, default)
     if not _is_int(value) or value < minimum:
         raise ConfigError(
@@ -109,17 +114,23 @@ def build_measure(spec, where: str = "measure") -> SequenceMeasure:
     name = spec.get("name")
     try:
         if kind == "bernoulli":
-            return BernoulliMeasure(_require(spec, "theta", where), name=name)
+            return BernoulliMeasure(
+                _real_field(spec, "theta", where), name=name,
+            )
         if kind == "markov":
             return MarkovMeasure(
-                _require(spec, "order", where),
-                _require(spec, "table", where),
+                int_field(spec, "order", None, 1, where),
+                _markov_table(_require(spec, "table", where), where),
                 name=name,
             )
         if kind == "deterministic":
+            generator = _require(spec, "generator", where)
+            if not isinstance(generator, str):
+                raise ConfigError(
+                    f"{where}.generator must be a string, got {generator!r}"
+                )
             return deterministic(
-                _require(spec, "generator", where),
-                fuel=spec.get("fuel", 100_000),
+                generator, fuel=int_field(spec, "fuel", 100_000, 1, where),
             )
         if kind == "game":
             rule = dealer_rule(_require(spec, "rule", where))
@@ -128,6 +139,23 @@ def build_measure(spec, where: str = "measure") -> SequenceMeasure:
     except MeasureError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where} has unknown measure type {kind!r}")
+
+
+def _real_field(section: dict, key: str, where: str):
+    value = _require(section, key, where)
+    if not _is_real(value):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    return value
+
+
+def _markov_table(table, where: str) -> dict:
+    if not isinstance(table, dict) or not all(
+        _is_real(value) for value in table.values()
+    ):
+        raise ConfigError(
+            f"{where}.table must map bit patterns to numbers, got {table!r}"
+        )
+    return table
 
 
 def build_class(section, where: str = "class") -> WeightedClass:
@@ -151,6 +179,10 @@ def build_class(section, where: str = "class") -> WeightedClass:
                 raise ConfigError(
                     f"{where}.weights has {len(weights)} entries for "
                     f"{len(measures)} components"
+                )
+            if not all(_is_real(w) for w in weights):
+                raise ConfigError(
+                    f"{where}.weights must be numbers, got {weights!r}"
                 )
             return WeightedClass(zip(measures, weights))
     except MeasureError as exc:
@@ -179,7 +211,7 @@ def build_predictor(spec, where: str = "rho") -> Predictor:
         if kind == "laplace":
             return LaplaceRulePredictor()
         if kind == "constant":
-            return ConstantPredictor(_require(spec, "p", where))
+            return ConstantPredictor(_real_field(spec, "p", where))
         if kind == "measure":
             return MeasurePredictor(
                 build_measure(_require(spec, "measure", where), where)
@@ -196,17 +228,16 @@ def build_predictor(spec, where: str = "rho") -> Predictor:
 def resolve_horizons(config: dict) -> list[int]:
     raw = _require(config, "horizons", "config")
     if isinstance(raw, dict):
-        start = _require(raw, "start", "horizons")
-        stop = _require(raw, "stop", "horizons")
-        step = raw.get("step", 1)
-        if step < 1:
-            raise ConfigError(f"horizons.step must be >= 1, got {step}")
+        _check_keys(raw, ("start", "stop", "step"), "horizons")
+        start = int_field(raw, "start", None, 1, "horizons")
+        stop = int_field(raw, "stop", None, 1, "horizons")
+        step = int_field(raw, "step", 1, 1, "horizons")
         raw = list(range(start, stop + 1, step))
     if not isinstance(raw, list) or not raw:
         raise ConfigError("horizons must be a nonempty list or a range object")
     horizons = []
     for h in raw:
-        if not isinstance(h, int) or h < 1:
+        if not _is_int(h) or h < 1:
             raise ConfigError(f"horizons must be positive integers, got {h!r}")
         horizons.append(h)
     return horizons
@@ -218,10 +249,11 @@ def resolve_mode(config: dict):
     if mode == "exact":
         return "exact", None, config.get("seed")
     if mode == "monte-carlo":
-        samples = _require(config, "samples", "config")
-        if "seed" not in config:
-            raise ConfigError("monte-carlo mode requires an explicit seed")
-        return "monte-carlo", samples, config["seed"]
+        return (
+            "monte-carlo",
+            int_field(config, "samples", None, 2, "config"),
+            int_field(config, "seed", None, 0, "config"),
+        )
     raise ConfigError(f"mode must be 'exact' or 'monte-carlo', got {mode!r}")
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import BinaryString, MeasureError, SequenceMeasure
+from .measures import MeasureError, SequenceMeasure
 from .numerics import fmt17
 from .predictors import Predictor, deterministic_wrap
 from .universal import MixtureMeasure, WeightedClass
@@ -158,22 +158,6 @@ class GameMeasure(SequenceMeasure):
         self.name = f"game({rule.name})"
         white = {die: float(self.spec.white_probability(die)) for die in (1, 2)}
         self._white = tuple(white[die] for die in rule.die)
-
-    def log_prefix_probability(self, s: BinaryString) -> float:
-        state = self.start()
-        total = 0.0
-        for bit in s:
-            p = self._white[state]
-            total += math.log(p if bit == 1 else 1.0 - p)
-            state = self.step(state, bit)
-        return total
-
-    def conditional(self, context: BinaryString, bit: int) -> float:
-        state = self.start()
-        for seen in context:
-            state = self.step(state, seen)
-        p = self._white[state]
-        return p if bit == 1 else 1.0 - p
 
     def start(self):
         return 0

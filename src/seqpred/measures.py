@@ -1,9 +1,13 @@
 """Binary strings and probability measures over infinite bit sequences.
 
-A measure is specified by its prefix probabilities rho(s) with rho(empty) = 1
-and rho(s0) + rho(s1) = rho(s).  Conditioning follows the Bayes ratio
-rho(b | s) = rho(sb) / rho(s); probabilities are accumulated in log space so
-long horizons do not underflow.
+A measure is a state-transition rule: start() is the state at the empty
+context, p1(state) = rho(1 | context) and step(state, bit) the state after
+one more bit, so conditioning is the rule replayed along the context.
+Prefix probabilities rho(s), with rho(empty) = 1 and rho(s0) + rho(s1) =
+rho(s), chain the same conditionals in log space so long horizons do not
+underflow.  Families with a closed form for rho(s) price it on their own,
+and the Bayes ratio rho(b | s) = rho(sb) / rho(s) over it is the
+cross-check on the rule.
 """
 
 from __future__ import annotations
@@ -74,43 +78,62 @@ class BinaryString:
 EMPTY = BinaryString.empty()
 
 
-class SequenceMeasure(ABC):
-    """A probability measure on one-way infinite binary sequences."""
+class StateRule(ABC):
+    """The interface of measures and predictors: a rule read bit by bit.
+
+    start() is the state at the empty context, p1(state) is P(next bit
+    = 1) in a state and step(state, bit) the state after one more bit.
+    """
+
+    @abstractmethod
+    def start(self):
+        ...
+
+    @abstractmethod
+    def p1(self, state) -> float:
+        ...
+
+    @abstractmethod
+    def step(self, state, bit: int):
+        ...
+
+    def state_after(self, bits):
+        """The state after reading bits in order."""
+        state = self.start()
+        for bit in bits:
+            state = self.step(state, bit)
+        return state
+
+
+class SequenceMeasure(StateRule):
+    """A probability measure on one-way infinite binary sequences.
+
+    Families define the state rule; every route that takes a context is
+    derived from it here.
+    """
 
     name: str = "measure"
 
-    @abstractmethod
+    def conditional(self, context: BinaryString, bit: int) -> float:
+        """rho(bit | context), by replaying the state rule."""
+        p1 = self.p1(self.state_after(context))
+        return p1 if bit == 1 else 1.0 - p1
+
     def log_prefix_probability(self, s: BinaryString) -> float:
-        """ln rho(s); -inf encodes probability zero."""
+        """ln rho(s) as the chain of conditionals; -inf encodes zero."""
+        total = 0.0
+        state = self.start()
+        for bit in s:
+            p1 = self.p1(state)
+            try:
+                total += math.log(p1 if bit == 1 else 1.0 - p1)
+            except ValueError:  # log(0.0): this bit has probability zero
+                return -math.inf
+            state = self.step(state, bit)
+        return total
 
     def prefix_probability(self, s: BinaryString) -> float:
         return math.exp(self.log_prefix_probability(s))
-
-    def conditional(self, context: BinaryString, bit: int) -> float:
-        """rho(bit | context) via the probability ratio.
-
-        Families override this with closed forms where one exists; the
-        default keeps the ratio route available as a cross-check.
-        """
-        lp_ctx = self.log_prefix_probability(context)
-        if lp_ctx == -math.inf:
-            raise NullEventError(NULL_EVENT_MESSAGE)
-        lp_ext = self.log_prefix_probability(context.extended(bit))
-        return math.exp(lp_ext - lp_ctx)
-
-    # A measure is also a state-transition rule: start() is the state at
-    # the empty context, p1(state) is P(next bit = 1) there and
-    # step(state, bit) the state after one more bit.  The default state is
-    # the context itself; families override the three with small states.
-
-    def start(self):
-        return EMPTY
-
-    def p1(self, state) -> float:
-        return self.conditional(state, 1)
-
-    def step(self, state, bit: int):
-        return state.extended(bit)
 
     def cursor(self) -> "MeasureCursor":
         """Stateful reader positioned at the empty context."""
@@ -154,16 +177,9 @@ class MeasureCursor:
 
 
 def chain_probability(measure: SequenceMeasure, s: BinaryString) -> float:
-    """Product of conditionals along s; must match prefix_probability."""
-    log_total = 0.0
-    cur = measure.cursor()
-    for bit in s:
-        p = cur.conditional(bit)
-        if p <= 0.0:
-            return 0.0
-        log_total += math.log(p)
-        cur = cur.advanced(bit)
-    return math.exp(log_total)
+    """The chain of state-rule conditionals along s, bypassing any closed
+    form a family prices rho(s) with; must match prefix_probability."""
+    return math.exp(SequenceMeasure.log_prefix_probability(measure, s))
 
 
 class BernoulliMeasure(SequenceMeasure):
@@ -183,9 +199,6 @@ class BernoulliMeasure(SequenceMeasure):
     def log_prefix_probability(self, s: BinaryString) -> float:
         ones = s.count(1)
         return ones * self._log_theta + (len(s) - ones) * self._log_comp
-
-    def conditional(self, context: BinaryString, bit: int) -> float:
-        return self.theta if bit == 1 else 1.0 - self.theta
 
     def start(self):
         return None
@@ -232,24 +245,10 @@ class MarkovMeasure(SequenceMeasure):
         missing = [key for key in required if key not in normalized]
         if missing:
             raise MeasureError(f"Markov table is missing patterns: {missing}")
-        self.table = normalized
         self._p1 = {
             tuple(int(ch) for ch in key): value for key, value in normalized.items()
         }
         self.name = name if name is not None else f"markov{order}"
-
-    def conditional(self, context: BinaryString, bit: int) -> float:
-        p1 = self.p1(context.bits[-self.order:])
-        return p1 if bit == 1 else 1.0 - p1
-
-    def log_prefix_probability(self, s: BinaryString) -> float:
-        total = 0.0
-        state = self.start()
-        for bit in s:
-            p1 = self.p1(state)
-            total += math.log(p1 if bit == 1 else 1.0 - p1)
-            state = self.step(state, bit)
-        return total
 
     # The state is the window of the last min(position, order) bits.
 
@@ -293,11 +292,6 @@ class DeterministicMeasure(SequenceMeasure):
             if bit != self.target_bit(i):
                 return -math.inf
         return 0.0
-
-    def conditional(self, context: BinaryString, bit: int) -> float:
-        if self.log_prefix_probability(context) == -math.inf:
-            raise NullEventError(NULL_EVENT_MESSAGE)
-        return 1.0 if bit == self.target_bit(len(context)) else 0.0
 
     # The state is the position on the target, or None once off it.
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -30,10 +29,10 @@ import numpy as np
 
 from . import numerics
 from .measures import (
-    EMPTY,
     BinaryString,
     MeasureError,
     SequenceMeasure,
+    StateRule,
 )
 from .numerics import kl_bernoulli, threshold_step
 
@@ -155,26 +154,17 @@ def step_error(quantities: StepQuantities, scheme: str) -> float:
     raise PredictionError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-class Predictor(ABC):
-    """Assigns a probability to the next bit being 1 given the context."""
+class Predictor(StateRule):
+    """Assigns a probability to the next bit being 1 given the context.
+
+    Predictors are state rules like measures; the context route replays
+    the rule.
+    """
 
     name: str = "predictor"
 
-    @abstractmethod
     def probability_of_one(self, context: BinaryString) -> float:
-        ...
-
-    # The same state-transition rule as SequenceMeasure: the default state
-    # is the context itself.
-
-    def start(self):
-        return EMPTY
-
-    def p1(self, state) -> float:
-        return self.probability_of_one(state)
-
-    def step(self, state, bit: int):
-        return state.extended(bit)
+        return self.p1(self.state_after(context))
 
     def cursor(self) -> "PredictorCursor":
         return PredictorCursor(self, self.start())
@@ -205,9 +195,6 @@ class MeasurePredictor(Predictor):
         self.measure = measure
         self.name = name if name is not None else measure.name
 
-    def probability_of_one(self, context: BinaryString) -> float:
-        return self.measure.conditional(context, 1)
-
     def start(self):
         return self.measure.start()
 
@@ -227,9 +214,6 @@ class ConstantPredictor(Predictor):
         self.p = float(p)
         self.name = name if name is not None else f"constant({self.p:g})"
 
-    def probability_of_one(self, context: BinaryString) -> float:
-        return self.p
-
     def start(self):
         return None
 
@@ -244,9 +228,6 @@ class LaplaceRulePredictor(Predictor):
     """Add-one frequency estimate: (ones + 1) / (length + 2)."""
 
     name = "laplace-rule"
-
-    def probability_of_one(self, context: BinaryString) -> float:
-        return (context.count(1) + 1.0) / (len(context) + 2.0)
 
     def start(self):
         return (0, 0)
@@ -270,9 +251,6 @@ class ThresholdPredictor(Predictor):
     def __init__(self, base: Predictor, name: str | None = None):
         self.base = base
         self.name = name if name is not None else f"threshold({base.name})"
-
-    def probability_of_one(self, context: BinaryString) -> float:
-        return float(threshold_step(self.base.probability_of_one(context) - 0.5))
 
     def start(self):
         return self.base.start()
@@ -434,7 +412,6 @@ def exact_expectations(
     xi: SequenceMeasure,
     n: int,
     rho: Predictor | None = None,
-    horizon_cap: int = EXACT_HORIZON_CAP,
 ) -> ExpectationReport:
     """Exact totals by enumerating every informed-positive context.
 
@@ -445,10 +422,10 @@ def exact_expectations(
     """
     if n < 1:
         raise PredictionError(f"horizon must be >= 1, got {n}")
-    if n > horizon_cap:
+    if n > EXACT_HORIZON_CAP:
         raise PredictionError(
-            f"horizon {n} exceeds the exact enumeration cap {horizon_cap}; "
-            "use monte_carlo_expectations"
+            f"horizon {n} exceeds the exact enumeration cap "
+            f"{EXACT_HORIZON_CAP}; use monte_carlo_expectations"
         )
     track_rho = rho is not None
     steps = [[0.0] * n for _ in _STEP_FIELDS]

@@ -19,7 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .measures import BinaryString, SequenceMeasure
+from .measures import EMPTY, BinaryString, SequenceMeasure
 
 HALTED = "halted"
 RUNNING = "running"
@@ -276,6 +276,17 @@ class TableMeasure(SequenceMeasure):
                 return -math.inf
             total += math.log(p)
         return total
+
+    # The state is the context itself: the table has no smaller summary.
+
+    def start(self):
+        return EMPTY
+
+    def p1(self, state) -> float:
+        return normalize(self.table, state, 1)
+
+    def step(self, state, bit: int):
+        return state.extended(bit)
 
 
 def as_measure(table: SemimeasureTable, name: str | None = None) -> TableMeasure:

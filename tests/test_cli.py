@@ -374,6 +374,89 @@ class TestSimulate:
         assert "seed" in capsys.readouterr().err
 
 
+def monte_carlo_config(**overrides):
+    fields = {"mode": "monte-carlo", "samples": 500, "seed": 3,
+              "horizons": [4]}
+    return two_bernoulli_config(**{**fields, **overrides})
+
+
+def with_component(spec):
+    payload = two_bernoulli_config()
+    payload["class"]["components"][1] = spec
+    return payload
+
+
+MARKOV = {"type": "markov", "order": 1, "table": {"": 0.5, "0": 0.8, "1": 0.2}}
+GAME = {"game": {"rule": "constant-die2", "rounds": 10, "games": 2}}
+
+
+def with_class_weights(weights):
+    payload = two_bernoulli_config()
+    payload["class"]["weights"] = weights
+    return payload
+
+
+class TestMalformedFields:
+    """Fields that ended in a traceback, or were ignored, before checking.
+
+    Each must exit 2 with a config error before any artifact is written.
+    """
+
+    CASES = {
+        "dicegame-seed-flag-negative": ("dicegame", GAME, ["--seed", "-1"]),
+        "simulate-seed-flag-negative":
+            ("simulate", monte_carlo_config(), ["--seed", "-1"]),
+        "samples-string": ("simulate", monte_carlo_config(samples="x"), []),
+        "samples-float": ("simulate", monte_carlo_config(samples=2.5), []),
+        "samples-one": ("simulate", monte_carlo_config(samples=1), []),
+        "seed-string": ("simulate", monte_carlo_config(seed="7"), []),
+        "seed-negative": ("simulate", monte_carlo_config(seed=-3), []),
+        "seed-bool": ("simulate", monte_carlo_config(seed=True), []),
+        "cap-float": ("approximate-m", {"semimeasure": {"cap": 2.5}}, []),
+        "depth-string": ("approximate-m", {"semimeasure": {"depth": "6"}}, []),
+        "fuel-zero": ("approximate-m", {"semimeasure": {"fuel": 0}}, []),
+        "semimeasure-unknown-key":
+            ("approximate-m", {"semimeasure": {"bogus": 1}}, []),
+        "semimeasure-not-object": ("approximate-m", {"semimeasure": [1]}, []),
+        "theta-string": ("simulate", with_component(
+            {"type": "bernoulli", "theta": "0.3"}), []),
+        "constant-p-string": ("simulate", two_bernoulli_config(
+            rho={"type": "constant", "p": "0.5"}), []),
+        "markov-order-string":
+            ("simulate", with_component(dict(MARKOV, order="1")), []),
+        "markov-table-list":
+            ("simulate", with_component(dict(MARKOV, table=[1])), []),
+        "markov-table-value-string":
+            ("simulate", with_component(dict(MARKOV, table={"": "0.5"})), []),
+        "generator-int": ("simulate", with_component(
+            {"type": "deterministic", "generator": 5}), []),
+        "generator-fuel-string": ("simulate", with_component(
+            {"type": "deterministic", "generator": "ones", "fuel": "9"}), []),
+        "weights-strings": ("simulate", with_class_weights(["a", "b"]), []),
+        "horizons-start-string": ("simulate", two_bernoulli_config(
+            horizons={"start": "4", "stop": 6}), []),
+        "horizons-step-string": ("simulate", two_bernoulli_config(
+            horizons={"start": 4, "stop": 6, "step": "x"}), []),
+        "horizons-unknown-key": ("simulate", two_bernoulli_config(
+            horizons={"start": 4, "stop": 6, "stride": 2}), []),
+        "horizon-bool":
+            ("verify-bounds", two_bernoulli_config(horizons=[4, True]), []),
+    }
+
+    @pytest.mark.parametrize(
+        "command, payload, flags", CASES.values(), ids=CASES.keys(),
+    )
+    def test_is_config_error(self, tmp_path, capsys, command, payload, flags):
+        config = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        code = run([command, "--config", config, "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestApproximateM:
     def test_writes_table_and_conditionals(self, tmp_path):
         config = write_config(tmp_path, {

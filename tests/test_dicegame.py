@@ -175,13 +175,16 @@ class TestGameMeasure:
             assert total == pytest.approx(gm.prefix_probability(s))
 
     def test_cursor_agrees_with_direct(self):
+        # parity3 rolls die 2 when an odd number of the last three
+        # outcomes (black before round one) were white.
         gm = GameMeasure(dealer_rule("parity3"), GameSpec())
         cursor = gm.cursor()
         ctx = BinaryString.empty()
         for bit in (1, 1, 0, 1, 0):
-            assert cursor.conditional(1) == pytest.approx(
-                gm.conditional(ctx, 1)
-            )
+            die = 2 if sum(ctx.bits[-3:]) % 2 else 1
+            expected = 2 / 3 if die == 2 else 1 / 3
+            assert cursor.conditional(1) == pytest.approx(expected, rel=1e-15)
+            assert gm.conditional(ctx, 1) == cursor.conditional(1)
             cursor = cursor.advanced(bit)
             ctx = ctx.extended(bit)
 

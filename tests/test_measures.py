@@ -14,6 +14,7 @@ from seqpred.measures import (
     chain_probability,
     deterministic,
 )
+from seqpred.universal import MixtureMeasure, WeightedClass
 
 bits_strategy = st.lists(st.integers(0, 1), max_size=10).map(
     lambda bs: BinaryString(tuple(bs))
@@ -107,11 +108,22 @@ class TestMarkov:
         assert split == pytest.approx(p, abs=1e-12)
 
     def test_chain_probability_agrees(self):
-        m = random_markov(2, 42)
+        # chain_probability replays the state rule; the Markov measure
+        # prices rho(s) with the same chain, so the oracle is the mixture
+        # of it and a Bernoulli, whose prefix probability is a weighted
+        # sum of the components' own prices.
+        xi = MixtureMeasure(WeightedClass.with_index_code_weights(
+            [random_markov(2, 42), BernoulliMeasure(0.3)]
+        ))
         s = BinaryString.parse("1101001")
-        assert chain_probability(m, s) == pytest.approx(
-            m.prefix_probability(s), rel=1e-12
+        assert chain_probability(xi, s) == pytest.approx(
+            xi.prefix_probability(s), rel=1e-12
         )
+        table = {"": 0.5, "0": 0.8, "1": 0.25}
+        m = MarkovMeasure(1, table)
+        # P(1101001) = P(1) P(1|1) P(0|1) P(1|0) P(0|1) P(0|0) P(1|0)
+        expected = 0.5 * 0.25 * 0.75 * 0.8 * 0.75 * 0.2 * 0.8
+        assert chain_probability(m, s) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDeterministic:
@@ -127,6 +139,11 @@ class TestDeterministic:
         m = deterministic("ones")
         path = m.sample_path(16, seed=0)
         assert path == BinaryString((1,) * 16)
+
+    def test_chain_stops_at_the_first_impossible_bit(self):
+        m = deterministic("zeros")
+        assert chain_probability(m, BinaryString.parse("0010")) == 0.0
+        assert chain_probability(m, BinaryString.parse("000")) == 1.0
 
     def test_null_event_conditioning(self):
         m = deterministic("zeros")
@@ -165,11 +182,18 @@ class TestSampling:
 
 class TestCursor:
     def test_cursor_tracks_direct_conditionals(self):
-        m = random_markov(2, 7)
+        # The oracle looks each conditional up in the table by the last
+        # two bits, outside the state rule.
+        table = {
+            "": 0.5, "0": 0.8, "1": 0.25,
+            "00": 0.3, "01": 0.6, "10": 0.45, "11": 0.9,
+        }
+        m = MarkovMeasure(2, table)
         s = BinaryString.parse("110100")
         cur = m.cursor()
         for k, bit in enumerate(s):
-            assert cur.conditional(bit) == pytest.approx(
-                m.conditional(s.prefix(k), bit), rel=1e-12
-            )
+            p1 = table[str(s.prefix(k))[-2:]]
+            assert cur.conditional(1) == p1
+            assert cur.conditional(0) == 1.0 - p1
+            assert m.conditional(s.prefix(k), bit) == cur.conditional(bit)
             cur = cur.advanced(bit)

@@ -30,12 +30,19 @@ from seqpred.predictors import (
 from seqpred.universal import MixtureMeasure, WeightedClass
 
 
-def brute_force_expectations(mu, xi, n, rho=None):
+def ratio(measure, ctx):
+    """P(next = 1 | ctx) as the ratio of the measure's prefix probabilities."""
+    lp = measure.log_prefix_probability(ctx)
+    return math.exp(measure.log_prefix_probability(ctx.extended(1)) - lp)
+
+
+def brute_force_expectations(mu, xi, n, laplace=False):
     """Oracle: enumerate all 2^n paths with plain conditionals.
 
     Every quantity is recomputed from its defining formula, with no
-    shared code with the implementation under test beyond the measure
-    conditionals themselves.
+    shared code with the implementation under test beyond the measures'
+    prefix probabilities: y and z are their Bayes ratios, not the state
+    rule the engine steps, and the Laplace rule's r is written out.
     """
     step = {
         name: [0.0] * n
@@ -48,12 +55,12 @@ def brute_force_expectations(mu, xi, n, rho=None):
         weight = 1.0
         ctx = EMPTY
         for k, bit in enumerate(path):
-            y = mu.conditional(ctx, 1)
-            z = xi.conditional(ctx, 1)
+            y = ratio(mu, ctx)
+            z = ratio(xi, ctx)
             step["informed"][k] += weight * 2 * y * (1 - y)
             step["mixture"][k] += weight * (y * (1 - z) + z * (1 - y))
-            if rho is not None:
-                r = rho.probability_of_one(ctx)
+            if laplace:
+                r = (ctx.count(1) + 1) / (len(ctx) + 2)
                 step["general"][k] += weight * (y * (1 - r) + r * (1 - y))
             step["distance"][k] += weight * abs(y - z)
             step["quadratic"][k] += weight * (y - z) ** 2
@@ -167,10 +174,9 @@ class TestPredictors:
 class TestExactExpectations:
     def test_against_brute_force(self):
         mu, xi = two_bernoulli_setup()
-        rho = LaplaceRulePredictor()
         n = 6
-        report = exact_expectations(mu, xi, n, rho=rho)
-        oracle = brute_force_expectations(mu, xi, n, rho=rho)
+        report = exact_expectations(mu, xi, n, rho=LaplaceRulePredictor())
+        oracle = brute_force_expectations(mu, xi, n, laplace=True)
         for name in (
             "informed", "mixture", "general", "distance", "quadratic",
             "entropy", "threshold_informed", "threshold_mixture",

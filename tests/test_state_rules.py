@@ -1,11 +1,17 @@
 """Every measure and predictor is a state-transition rule.
 
-Stepping start()/step() along a string must reproduce the direct
-conditionals: p1(state) equals conditional(s, 1) for a measure and
-probability_of_one(s) for a predictor, exactly for the closed-form
-families and to rel 1e-12 where the direct route is a ratio of prefix
-probabilities (the mixture).  A context of probability zero raises the
-same error on both routes.
+Stepping start()/step() along a string must reproduce conditionals that
+are computed without the rule.  For a measure that prices rho(s) on its
+own (Bernoulli, deterministic, mixture, table) the oracle is the Bayes
+ratio rho(s1) / rho(s), to rel 1e-12; Markov and game measures price
+rho(s) by chaining the rule itself, so their oracle is a lookup written
+here (the table entry for the last bits, the die the dealer's table picks).
+Predictors are checked against closed forms written here.  A context of
+probability zero raises on the rule and has no oracle value.
+
+The context routes (conditional, probability_of_one) and the default
+log_prefix_probability are derived once, in the base classes; the design
+tests at the end keep it that way.
 """
 
 import math
@@ -14,19 +20,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqpred.dicegame import DEALER_RULES, GameMeasure
+from seqpred.dicegame import DEALER_RULES, GameMeasure, GameSpec
 from seqpred.measures import (
     BernoulliMeasure,
     BinaryString,
     MarkovMeasure,
     MeasureCursor,
     NullEventError,
+    SequenceMeasure,
     deterministic,
 )
+from seqpred.numerics import TIE_PREDICTION
 from seqpred.predictors import (
     ConstantPredictor,
     LaplaceRulePredictor,
     MeasurePredictor,
+    Predictor,
     PredictorCursor,
     ThresholdPredictor,
 )
@@ -40,10 +49,20 @@ from seqpred.universal import MixtureMeasure, WeightedClass
 
 MAX_LENGTH = 10
 RATIO_REL = 1e-12
+NULL = "null context"
+
+
+def markov_table(order):
+    rng = np.random.default_rng(order)
+    return {
+        format(i, f"0{width}b") if width else "": float(rng.uniform(0.1, 0.9))
+        for width in range(order + 1)
+        for i in range(2**width)
+    }
 
 
 def markov(order):
-    return MarkovMeasure.random(order, np.random.default_rng(order))
+    return MarkovMeasure(order, markov_table(order))
 
 
 def dying_mixture():
@@ -59,40 +78,86 @@ def register_table():
     )
 
 
-# (id, factory, rel, longest string it can condition on)
+def ratio_oracle(measure):
+    """rho(1 | s) as rho(s1) / rho(s) from the measure's own pricing."""
+    def p1(bits):
+        context = BinaryString(tuple(bits))
+        lp = measure.log_prefix_probability(context)
+        if lp == -math.inf:
+            return NULL
+        lp1 = measure.log_prefix_probability(context.extended(1))
+        return math.exp(lp1 - lp)
+    return p1
+
+
+def markov_oracle(order):
+    table = markov_table(order)
+    return lambda bits: table["".join(map(str, bits[-order:]))]
+
+
+def game_oracle(rule):
+    spec = GameSpec()
+    return lambda bits: float(
+        spec.white_probability(rule.die_sequence(bits)[-1])
+    )
+
+
+def laplace(bits):
+    return (sum(bits) + 1.0) / (len(bits) + 2.0)
+
+
+def threshold(p):
+    if p == NULL:
+        return NULL
+    return 1.0 if p > 0.5 else 0.0 if p < 0.5 else float(TIE_PREDICTION)
+
+
+def measure_case(name, factory, oracle_of, rel, longest=MAX_LENGTH):
+    return (name, factory, oracle_of, rel, longest)
+
+
+# (id, factory, oracle of the built measure, rel, longest string it can
+# condition on)
 MEASURES = [
-    ("bernoulli", lambda: BernoulliMeasure(0.3), 0.0, MAX_LENGTH),
+    measure_case("bernoulli", lambda: BernoulliMeasure(0.3), ratio_oracle,
+                 RATIO_REL),
     *[
-        (f"markov{order}", lambda order=order: markov(order), 0.0, MAX_LENGTH)
+        measure_case(f"markov{order}", lambda order=order: markov(order),
+                     lambda m: markov_oracle(m.order), 0.0)
         for order in range(1, MarkovMeasure.MAX_ORDER + 1)
     ],
-    ("deterministic-alternating", lambda: deterministic("alternating"), 0.0,
-     MAX_LENGTH),
-    ("deterministic-ones", lambda: deterministic("ones"), 0.0, MAX_LENGTH),
+    measure_case("deterministic-alternating",
+                 lambda: deterministic("alternating"), ratio_oracle, 0.0),
+    measure_case("deterministic-ones", lambda: deterministic("ones"),
+                 ratio_oracle, 0.0),
     *[
-        (f"game-{rule.name}", lambda rule=rule: GameMeasure(rule), 0.0,
-         MAX_LENGTH)
+        measure_case(f"game-{rule.name}", lambda rule=rule: GameMeasure(rule),
+                     lambda m: game_oracle(m.rule), 0.0)
         for rule in DEALER_RULES
     ],
-    ("mixture-with-dying-component", dying_mixture, RATIO_REL, MAX_LENGTH),
-    ("mixture-of-deterministic", lambda: MixtureMeasure(
+    measure_case("mixture-with-dying-component", dying_mixture, ratio_oracle,
+                 RATIO_REL),
+    measure_case("mixture-of-deterministic", lambda: MixtureMeasure(
         WeightedClass.uniform([deterministic("zeros"), deterministic("ones")])
-    ), RATIO_REL, MAX_LENGTH),
-    ("table", register_table, 0.0, 4),
+    ), ratio_oracle, RATIO_REL),
+    measure_case("table", register_table, ratio_oracle, RATIO_REL, longest=4),
 ]
 
+# (id, factory, oracle: bits -> P(next = 1), rel)
 PREDICTORS = [
-    ("constant", lambda: ConstantPredictor(0.25), 0.0),
-    ("laplace", LaplaceRulePredictor, 0.0),
+    ("constant", lambda: ConstantPredictor(0.25), lambda bits: 0.25, 0.0),
+    ("laplace", LaplaceRulePredictor, laplace, 0.0),
     ("threshold-laplace", lambda: ThresholdPredictor(LaplaceRulePredictor()),
-     0.0),
-    ("measure-markov3", lambda: MeasurePredictor(markov(3)), 0.0),
+     lambda bits: threshold(laplace(bits)), 0.0),
+    ("measure-markov3", lambda: MeasurePredictor(markov(3)),
+     markov_oracle(3), 0.0),
     ("measure-game", lambda: MeasurePredictor(GameMeasure(DEALER_RULES[6])),
-     0.0),
+     game_oracle(DEALER_RULES[6]), 0.0),
     ("threshold-measure-mixture",
-     lambda: ThresholdPredictor(MeasurePredictor(dying_mixture())), 0.0),
+     lambda: ThresholdPredictor(MeasurePredictor(dying_mixture())),
+     lambda bits: threshold(ratio_oracle(dying_mixture())(bits)), 0.0),
     ("measure-mixture", lambda: MeasurePredictor(dying_mixture()),
-     RATIO_REL),
+     ratio_oracle(dying_mixture()), RATIO_REL),
 ]
 
 strings = st.lists(st.integers(0, 1), max_size=MAX_LENGTH)
@@ -100,40 +165,42 @@ NULL_ERRORS = (NullEventError, SemimeasureError)
 
 
 def outcome(fn):
-    """The value of fn(), or the type of the null-context error it raised."""
+    """The value of fn(), or NULL if it raised a null-context error."""
     try:
         return fn()
-    except NULL_ERRORS as exc:
-        return type(exc)
+    except NULL_ERRORS:
+        return NULL
 
 
-def assert_same(direct, stepped, rel):
-    if isinstance(direct, type) or isinstance(stepped, type):
-        assert stepped is direct
-    elif rel == 0.0:
-        assert stepped == direct
+def assert_matches(oracle, value, rel):
+    if rel == 0.0 or NULL in (oracle, value):
+        assert value == oracle
     else:
-        assert stepped == pytest.approx(direct, rel=rel)
+        assert value == pytest.approx(oracle, rel=rel)
 
 
 @pytest.mark.parametrize(
-    "factory, rel, longest",
+    "factory, oracle_of, rel, longest",
     [case[1:] for case in MEASURES],
     ids=[case[0] for case in MEASURES],
 )
 @settings(max_examples=40, deadline=None)
 @given(bits=strings)
-def test_measure_state_rule_matches_conditionals(factory, rel, longest, bits):
+def test_measure_state_rule_matches_oracle(factory, oracle_of, rel, longest,
+                                           bits):
     measure = factory()
+    oracle = oracle_of(measure)
     bits = bits[:longest]
     state = measure.start()
     cursor = measure.cursor()
     for k in range(len(bits) + 1):
         context = BinaryString(tuple(bits[:k]))
-        direct = outcome(lambda: measure.conditional(context, 1))
+        expected = outcome(lambda: oracle(bits[:k]))
         stepped = outcome(lambda: measure.p1(state))
-        assert_same(direct, stepped, rel)
-        if not isinstance(stepped, type):
+        assert_matches(expected, stepped, rel)
+        assert outcome(lambda: measure.conditional(context, 1)) == stepped
+        if stepped != NULL:
+            assert measure.conditional(context, 0) == 1.0 - stepped
             assert cursor.conditional(1) == stepped
             assert cursor.conditional(0) == 1.0 - stepped
         if k < len(bits):
@@ -142,20 +209,21 @@ def test_measure_state_rule_matches_conditionals(factory, rel, longest, bits):
 
 
 @pytest.mark.parametrize(
-    "factory, rel",
+    "factory, oracle, rel",
     [case[1:] for case in PREDICTORS],
     ids=[case[0] for case in PREDICTORS],
 )
 @settings(max_examples=40, deadline=None)
 @given(bits=strings)
-def test_predictor_state_rule_matches_probability_of_one(factory, rel, bits):
+def test_predictor_state_rule_matches_closed_form(factory, oracle, rel, bits):
     predictor = factory()
     state = predictor.start()
     cursor = predictor.cursor()
     for k in range(len(bits) + 1):
-        context = BinaryString(tuple(bits[:k]))
         stepped = predictor.p1(state)
-        assert_same(predictor.probability_of_one(context), stepped, rel)
+        assert_matches(oracle(bits[:k]), stepped, rel)
+        context = BinaryString(tuple(bits[:k]))
+        assert predictor.probability_of_one(context) == stepped
         assert cursor.probability_of_one() == stepped
         if k < len(bits):
             state = predictor.step(state, bits[k])
@@ -168,6 +236,8 @@ def test_off_target_deterministic_state_is_dead():
     assert state is None
     with pytest.raises(NullEventError):
         measure.p1(state)
+    with pytest.raises(NullEventError):
+        measure.conditional(BinaryString((0, 0)), 1)
     assert measure.step(state, 1) is None
 
 
@@ -178,10 +248,51 @@ def test_mixture_keeps_a_dead_component_at_minus_infinity():
     assert dead is None and dead_mass == -math.inf
     assert math.isfinite(bernoulli_mass)
     assert xi.p1(state) == pytest.approx(
-        xi.conditional(BinaryString((1, 1)), 1), rel=RATIO_REL
+        ratio_oracle(xi)([1, 1]), rel=RATIO_REL
     )
 
 
 def test_generic_cursors_are_the_only_cursor_classes():
     assert MeasureCursor.__subclasses__() == []
     assert PredictorCursor.__subclasses__() == []
+
+
+def family(cls):
+    found = []
+    for sub in cls.__subclasses__():
+        found.append(sub)
+        found.extend(family(sub))
+    return found
+
+
+def defining(base, attr):
+    return sorted(cls.__name__ for cls in family(base) if attr in vars(cls))
+
+
+def test_context_routes_are_defined_only_in_the_base_classes():
+    assert defining(SequenceMeasure, "conditional") == []
+    assert defining(Predictor, "probability_of_one") == []
+    assert "conditional" in vars(SequenceMeasure)
+    assert "probability_of_one" in vars(Predictor)
+
+
+def test_only_independent_pricing_overrides_log_prefix_probability():
+    assert defining(SequenceMeasure, "log_prefix_probability") == [
+        "BernoulliMeasure", "DeterministicMeasure", "MixtureMeasure",
+        "TableMeasure",
+    ]
+
+
+@pytest.mark.parametrize("base", [SequenceMeasure, Predictor])
+@pytest.mark.parametrize("missing", ["start", "p1", "step"])
+def test_a_rule_without_start_p1_and_step_cannot_be_built(base, missing):
+    methods = {
+        "start": lambda self: None,
+        "p1": lambda self, state: 0.5,
+        "step": lambda self, state, bit: None,
+    }
+    type("Complete", (base,), methods)()
+    del methods[missing]
+    incomplete = type(f"Without_{missing}", (base,), methods)
+    with pytest.raises(TypeError):
+        incomplete()

@@ -106,13 +106,18 @@ class TestMixture:
         )
 
     def test_cursor_matches_direct(self):
+        # The oracle is the Bayes ratio of the mixture's prefix
+        # probabilities, which it prices as a weighted sum, not by the
+        # state rule the cursor steps.
         xi = mixture(two_bernoulli())
         s = BinaryString.parse("10011")
         cur = xi.cursor()
         for k, bit in enumerate(s):
-            assert cur.conditional(bit) == pytest.approx(
-                xi.conditional(s.prefix(k), bit), rel=1e-12
+            ratio = xi.prefix_probability(s.prefix(k + 1)) / (
+                xi.prefix_probability(s.prefix(k))
             )
+            assert cur.conditional(bit) == pytest.approx(ratio, rel=1e-12)
+            assert xi.conditional(s.prefix(k), bit) == cur.conditional(bit)
             cur = cur.advanced(bit)
 
     def test_mixture_with_dead_component_stays_normalized(self):
