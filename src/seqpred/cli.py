@@ -8,14 +8,16 @@ crossing; simulate emits expectation reports (exact or Monte Carlo);
 approximate-m enumerates machine programs into a semimeasure table.
 
 Exit codes: 0 on success, 1 when a checked bound or admissible-region
-scan fails, 2 for configuration or usage errors.  Outputs are
-deterministic functions of the config and seeds.
+scan fails or stdout is closed before the run ends (``| head``), 2 for
+configuration or usage errors.  Outputs are deterministic functions of
+the config and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from .bounds import (
     convergence_trend,
 )
 from .dicegame import (
+    GAME_MODES,
     GameMeasure,
     dealer_rule,
     first_profitable_round,
@@ -203,6 +206,10 @@ def cmd_dicegame(args) -> int:
     rounds = cfg.int_field(section, "rounds", 400, 1, "game")
     games = cfg.int_field(section, "games", 100, 1, "game")
     mode = section.get("mode", "sampled")
+    if mode not in GAME_MODES:
+        raise cfg.ConfigError(
+            f"game.mode must be one of {list(GAME_MODES)}, got {mode!r}"
+        )
     seed = (
         args.seed if args.seed is not None
         else cfg.int_field(section, "seed", 0, 0, "game")
@@ -369,10 +376,18 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise cfg.ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so the
+        # interpreter's flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 Every command reads the same self-describing format, so a reported
 result is reproducible from its config file and seeds alone.  Sections
-are optional; each command validates the ones it needs.
+are optional; each command validates the ones it needs, and verify-bounds
+and simulate accept no top-level keys besides the experiment's (class
+through seed below).
 
     {
       "class": {"components": [<measure spec>, ...],
@@ -23,9 +25,10 @@ are optional; each command validates the ones it needs.
     }
 
 Measure specs: {"type": "bernoulli", "theta": p}, {"type": "markov",
-"order": k, "table": {pattern: p}}, {"type": "deterministic",
-"generator": "alternating" | "ones" | "zeros" | "program:<hex>"} or
-{"type": "game", "rule": name}.  Predictor specs: {"type": "laplace"},
+"order": k, "table": {pattern: p}}, either with an optional "name",
+{"type": "deterministic", "generator": "alternating" | "ones" | "zeros" |
+"program:<hex>", "fuel": steps} or {"type": "game", "rule": name, "spec":
+{...}}; a spec holds no other keys.  Predictor specs: {"type": "laplace"},
 {"type": "constant", "p": p}, {"type": "measure", "measure": spec},
 each optionally wrapped as {"type": "threshold", "base": spec}.
 """
@@ -107,10 +110,25 @@ def int_field(section: dict, key: str, default: int | None, minimum: int,
     return value
 
 
+_MEASURE_KEYS = {
+    "bernoulli": ("type", "theta", "name"),
+    "markov": ("type", "order", "table", "name"),
+    "deterministic": ("type", "generator", "fuel"),
+    "game": ("type", "rule", "spec"),
+}
+
+_EXPERIMENT_KEYS = (
+    "class", "true_measure", "rho", "horizons", "mode", "samples", "seed",
+)
+
+
 def build_measure(spec, where: str = "measure") -> SequenceMeasure:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object, got {spec!r}")
     kind = _require(spec, "type", where)
+    if not isinstance(kind, str) or kind not in _MEASURE_KEYS:
+        raise ConfigError(f"{where} has unknown measure type {kind!r}")
+    _check_keys(spec, _MEASURE_KEYS[kind], where)
     name = spec.get("name")
     try:
         if kind == "bernoulli":
@@ -132,13 +150,11 @@ def build_measure(spec, where: str = "measure") -> SequenceMeasure:
             return deterministic(
                 generator, fuel=int_field(spec, "fuel", 100_000, 1, where),
             )
-        if kind == "game":
-            rule = dealer_rule(_require(spec, "rule", where))
-            game_spec = build_game_spec(spec.get("spec", {}))
-            return GameMeasure(rule, game_spec)
+        # kind == "game"
+        rule = dealer_rule(_require(spec, "rule", where))
+        return GameMeasure(rule, build_game_spec(spec.get("spec", {})))
     except MeasureError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where} has unknown measure type {kind!r}")
 
 
 def _real_field(section: dict, key: str, where: str):
@@ -161,6 +177,7 @@ def _markov_table(table, where: str) -> dict:
 def build_class(section, where: str = "class") -> WeightedClass:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object")
+    _check_keys(section, ("components", "weights"), where)
     specs = _require(section, "components", where)
     if not isinstance(specs, list) or not specs:
         raise ConfigError(f"{where}.components must be a nonempty list")
@@ -344,7 +361,11 @@ def _as_fraction(value, where: str):
 
 
 def mixture_from_config(config: dict):
-    """(weighted class, mixture, true measure) from the class sections."""
+    """(weighted class, mixture, true measure) from an experiment config.
+
+    The config may hold no top-level keys besides the experiment's.
+    """
+    _check_keys(config, _EXPERIMENT_KEYS, "config")
     weighted = build_class(_require(config, "class", "config"))
     mu = resolve_true_measure(config, weighted)
     xi = MixtureMeasure(weighted)

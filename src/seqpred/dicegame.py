@@ -37,6 +37,7 @@ from .universal import MixtureMeasure, WeightedClass
 
 DEFAULT_STAKE_CENTS = 300
 DEFAULT_PAYOUT_CENTS = 500
+GAME_MODES = ("sampled", "expected")
 
 
 class GameError(MeasureError):
@@ -289,7 +290,7 @@ def play(
     """
     if n < 1:
         raise GameError(f"round count must be >= 1, got {n}")
-    if mode not in ("sampled", "expected"):
+    if mode not in GAME_MODES:
         raise GameError(f"mode must be 'sampled' or 'expected', got {mode!r}")
     rng = np.random.default_rng(seed)
     env = GameMeasure(rule, spec)

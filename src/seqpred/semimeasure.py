@@ -1,11 +1,14 @@
 """Program-enumeration approximation of an algorithmic prior.
 
-A monotone machine turns program bits into output bits.  Enumerating
+A monotone machine turns program bits into output bits; it is a state
+rule (start, feed, output) read one program bit at a time.  Enumerating
 all programs up to a length cap and crediting 2^-l(p) to each output
 prefix the program reaches first yields a semimeasure table: a lower
 bound on the ideal prior that only grows as the cap or the fuel budget
-grows.  Normalizing sibling masses turns the table into a proper
-sequence measure.
+grows.  The enumeration walks program lengths in order and merges the
+programs that reach the same machine state, so its work follows the
+number of distinct states rather than the 2^cap programs.  Normalizing
+sibling masses turns the table into a proper sequence measure.
 
 This module is demonstrative.  The bound-verification code uses
 explicit weighted mixtures, which have exact weights; the table here
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .measures import EMPTY, BinaryString, SequenceMeasure
@@ -32,20 +35,42 @@ class SemimeasureError(ValueError):
     """Table construction or normalization failure."""
 
 
-class MonotoneMachine:
+class MonotoneMachine(ABC):
     """Deterministic machine whose output grows with its program.
 
-    Subclasses implement run(program, fuel) returning (output, status)
-    with status one of HALTED, RUNNING (fuel exhausted) or NEEDS_INPUT
-    (all program bits consumed, more wanted).  Two invariants matter:
-    extending the program only extends the output, and raising fuel
-    only extends the output.
+    A machine is a state rule read one program bit at a time.
+    start(fuel) gives the state before any bit and feed(state, bit) the
+    state after one more, each as (state, status) with status one of
+    HALTED, RUNNING (fuel exhausted) or NEEDS_INPUT (all program bits
+    consumed, more wanted); output(state) is the bits emitted so far.
+    feed is only called in a NEEDS_INPUT state, and states are hashable
+    values: two programs in equal states have equal futures.  Two
+    invariants matter: extending the program only extends the output,
+    and raising fuel only extends the output.
     """
 
     name = "machine"
 
+    @abstractmethod
+    def start(self, fuel: int):
+        ...
+
+    @abstractmethod
+    def feed(self, state, bit: int):
+        ...
+
+    @abstractmethod
+    def output(self, state) -> tuple[int, ...]:
+        ...
+
     def run(self, program, fuel):
-        raise NotImplementedError
+        """(output, status) after feeding program until a bit is refused."""
+        state, status = self.start(fuel)
+        for bit in program:
+            if status != NEEDS_INPUT:
+                break
+            state, status = self.feed(state, bit)
+        return self.output(state), status
 
 
 class EchoMachine(MonotoneMachine):
@@ -53,16 +78,22 @@ class EchoMachine(MonotoneMachine):
 
     The analytic ground truth: the only minimal program for s is s
     itself, so every mass is exactly 2^-l(s) and normalization gives
-    the uniform measure.
+    the uniform measure.  The state is (output, remaining fuel).
     """
 
     name = "echo"
 
-    def run(self, program, fuel):
-        program = tuple(program)
-        if fuel < len(program):
-            return program[:fuel], RUNNING
-        return program, NEEDS_INPUT
+    def start(self, fuel):
+        return ((), fuel), NEEDS_INPUT
+
+    def feed(self, state, bit):
+        out, remaining = state
+        if remaining <= 0:
+            return state, RUNNING
+        return (out + (bit,), remaining - 1), NEEDS_INPUT
+
+    def output(self, state):
+        return state[0]
 
 
 class RegisterMachine(MonotoneMachine):
@@ -83,48 +114,49 @@ class RegisterMachine(MonotoneMachine):
     plus the number of bits it copies and only executes if the full
     cost is affordable; an unaffordable REP consumes the remaining fuel
     and emits nothing.  That atomicity keeps the output monotone in the
-    fuel budget.
+    fuel budget.  The state is (a, b, output, remaining fuel, pending
+    instruction bits); an instruction runs when its third bit arrives.
     """
 
     name = "register"
 
-    def run(self, program, fuel):
-        program = tuple(program)
-        a = 0
-        b = 0
-        out: list[int] = []
-        pos = 0
-        remaining = fuel
-        while True:
-            if remaining <= 0:
-                return tuple(out), RUNNING
-            if pos + 3 > len(program):
-                return tuple(out), NEEDS_INPUT
-            opcode = program[pos] << 2 | program[pos + 1] << 1 | program[pos + 2]
-            pos += 3
-            if opcode == 0:
-                return tuple(out), HALTED
-            if opcode == 7:
-                cost = 1 + len(out)
-                if cost > remaining:
-                    return tuple(out), RUNNING
-                remaining -= cost
-                out.extend(out)
-                continue
+    def start(self, fuel):
+        return (0, 0, (), fuel, ()), NEEDS_INPUT if fuel > 0 else RUNNING
+
+    def feed(self, state, bit):
+        a, b, out, remaining, pending = state
+        pending += (bit,)
+        if len(pending) < 3:
+            return (a, b, out, remaining, pending), NEEDS_INPUT
+        opcode = pending[0] << 2 | pending[1] << 1 | pending[2]
+        if opcode == 0:
+            return (a, b, out, remaining, ()), HALTED
+        if opcode == 7:
+            cost = 1 + len(out)
+            if cost > remaining:
+                return (a, b, out, 0, ()), RUNNING
+            remaining -= cost
+            out += out
+        else:
             remaining -= 1
             if opcode == 1:
-                out.append(0)
+                out += (0,)
             elif opcode == 2:
-                out.append(1)
+                out += (1,)
             elif opcode == 3:
-                out.append(a & 1)
+                out += (a & 1,)
                 a >>= 1
             elif opcode == 4:
                 a += 1
             elif opcode == 5:
                 a, b = b, a
-            elif opcode == 6:
+            else:
                 a += b
+        status = NEEDS_INPUT if remaining > 0 else RUNNING
+        return (a, b, out, remaining, ()), status
+
+    def output(self, state):
+        return state[2]
 
 
 def program_bits_from_hex(text: str) -> tuple[int, ...]:
@@ -208,10 +240,15 @@ def approximate_mass(
     emitted; whatever they would emit later is simply missing, which
     keeps every mass a lower bound on the unbounded-fuel value.
 
-    The walk visits programs in length then lexicographic order.  A
+    The walk feeds one program bit per level, from length 0 to cap, and
+    never replays a program from its first bit.  Programs of one length
+    that reach the same (state, status, parent output length) share
+    every future credit, so they merge into one node that carries their
+    count, and a node of length l credits count * 2^(cap - l).  A
     halted or fuel-starved program is not extended (its extensions
     produce the same output and are never minimal), and neither is one
-    whose output already covers the table depth.
+    whose output already covers the table depth.  The work grows with
+    the number of distinct machine states, not with 2^cap.
     """
     if cap < 1:
         raise SemimeasureError(f"cap must be >= 1, got {cap}")
@@ -221,18 +258,20 @@ def approximate_mass(
         raise SemimeasureError(f"depth must be >= 1, got {depth}")
 
     units: dict[tuple, int] = {}
-    queue = deque([((), -1)])
-    while queue:
-        program, parent_len = queue.popleft()
-        output, status = machine.run(program, fuel)
-        credit = 1 << (cap - len(program))
-        top = min(len(output), depth)
-        for m in range(parent_len + 1, top + 1):
-            key = tuple(output[:m])
-            units[key] = units.get(key, 0) + credit
-        if status == NEEDS_INPUT and len(program) < cap and len(output) < depth:
-            queue.append((program + (0,), len(output)))
-            queue.append((program + (1,), len(output)))
+    level = {(*machine.start(fuel), -1): 1}
+    for length in range(cap + 1):
+        following: dict[tuple, int] = {}
+        for (state, status, parent_len), count in level.items():
+            output = machine.output(state)
+            credit = count << (cap - length)
+            for m in range(parent_len + 1, min(len(output), depth) + 1):
+                key = output[:m]
+                units[key] = units.get(key, 0) + credit
+            if status == NEEDS_INPUT and length < cap and len(output) < depth:
+                for bit in (0, 1):
+                    child = (*machine.feed(state, bit), len(output))
+                    following[child] = following.get(child, 0) + count
+        level = following
     return SemimeasureTable(
         machine_name=machine.name, cap=cap, fuel=fuel, depth=depth, units=units,
     )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -441,6 +445,26 @@ class TestMalformedFields:
             horizons={"start": 4, "stop": 6, "stride": 2}), []),
         "horizon-bool":
             ("verify-bounds", two_bernoulli_config(horizons=[4, True]), []),
+        "game-mode-unknown": ("dicegame", {"game": dict(
+            GAME["game"], mode="bogus")}, []),
+        "bernoulli-unknown-key": ("simulate", with_component(
+            {"type": "bernoulli", "theta": 0.7, "thta": 0.9}), []),
+        "markov-unknown-key":
+            ("simulate", with_component(dict(MARKOV, orderr=2)), []),
+        "deterministic-name": ("simulate", with_component(
+            {"type": "deterministic", "generator": "ones", "name": "x"}), []),
+        "game-measure-unknown-key": ("simulate", with_component(
+            {"type": "game", "rule": "constant-die1", "rounds": 3}), []),
+        "true-measure-unknown-key": ("verify-bounds", two_bernoulli_config(
+            true_measure={"type": "bernoulli", "theta": 0.3, "p": 1}), []),
+        "class-unknown-key": ("simulate", two_bernoulli_config(**{"class": {
+            "components": [{"type": "bernoulli", "theta": 0.3}],
+            "wieghts": 1,
+        }}), []),
+        "top-level-unknown-key":
+            ("simulate", two_bernoulli_config(sample=100), []),
+        "top-level-section-unknown":
+            ("verify-bounds", two_bernoulli_config(game={}), []),
     }
 
     @pytest.mark.parametrize(
@@ -509,6 +533,20 @@ class TestShippedConfigs:
         for path in paths:
             cfg.load_config(path)
 
+    def test_shipped_experiment_configs_build(self):
+        from seqpred import config as cfg
+
+        root = Path(__file__).resolve().parents[1] / "configs"
+        built = 0
+        for path in sorted(root.glob("*.json")):
+            config = cfg.load_config(path)
+            if "class" in config:
+                cfg.resolve_mode(config)
+                cfg.mixture_from_config(config)
+                cfg.resolve_horizons(config)
+                built += 1
+        assert built >= 3
+
     def test_two_bernoulli_shipped_config_verifies(self, tmp_path):
         import pathlib
 
@@ -519,3 +557,31 @@ class TestShippedConfigs:
             "--out", str(tmp_path),
         ])
         assert code == 0
+
+
+class TestClosedStdout:
+    def test_verify_bounds_into_a_closed_pipe(self, tmp_path):
+        # The reader takes one line and closes the pipe while later
+        # horizons are still being printed, as `| head -1` does.
+        config = write_config(
+            tmp_path, two_bernoulli_config(horizons=list(range(1, 14))),
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seqpred", "verify-bounds",
+             "--config", config, "--out", str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+        proc.stderr.close()
+        assert first == b"probabilistic relations at horizon 1\n"
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
+        assert code == 1

@@ -1,7 +1,9 @@
 import itertools
 import math
+from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from seqpred.measures import BinaryString
 from seqpred.semimeasure import (
@@ -10,6 +12,7 @@ from seqpred.semimeasure import (
     NO_CONTINUATION_MESSAGE,
     RUNNING,
     EchoMachine,
+    MonotoneMachine,
     RegisterMachine,
     SemimeasureError,
     SemimeasureTable,
@@ -44,6 +47,80 @@ def brute_force_units(machine, cap, fuel, depth):
                 units[key] = units.get(key, 0) + (1 << (cap - length))
     return units
 
+
+
+# Oracles: the whole-program interpreters and the replay enumerator the
+# machines' state rules and the merged walk replaced, kept verbatim.
+
+
+def oracle_echo_run(program, fuel):
+    program = tuple(program)
+    if fuel < len(program):
+        return program[:fuel], RUNNING
+    return program, NEEDS_INPUT
+
+
+def oracle_register_run(program, fuel):
+    program = tuple(program)
+    a = 0
+    b = 0
+    out = []
+    pos = 0
+    remaining = fuel
+    while True:
+        if remaining <= 0:
+            return tuple(out), RUNNING
+        if pos + 3 > len(program):
+            return tuple(out), NEEDS_INPUT
+        opcode = program[pos] << 2 | program[pos + 1] << 1 | program[pos + 2]
+        pos += 3
+        if opcode == 0:
+            return tuple(out), HALTED
+        if opcode == 7:
+            cost = 1 + len(out)
+            if cost > remaining:
+                return tuple(out), RUNNING
+            remaining -= cost
+            out.extend(out)
+            continue
+        remaining -= 1
+        if opcode == 1:
+            out.append(0)
+        elif opcode == 2:
+            out.append(1)
+        elif opcode == 3:
+            out.append(a & 1)
+            a >>= 1
+        elif opcode == 4:
+            a += 1
+        elif opcode == 5:
+            a, b = b, a
+        elif opcode == 6:
+            a += b
+
+
+ORACLE_RUNS = {"echo": oracle_echo_run, "register": oracle_register_run}
+
+
+def replay_table(machine, cap, fuel, depth):
+    """Breadth-first replay of every program from its first bit."""
+    run = ORACLE_RUNS[machine.name]
+    units = {}
+    queue = deque([((), -1)])
+    while queue:
+        program, parent_len = queue.popleft()
+        output, status = run(program, fuel)
+        credit = 1 << (cap - len(program))
+        top = min(len(output), depth)
+        for m in range(parent_len + 1, top + 1):
+            key = tuple(output[:m])
+            units[key] = units.get(key, 0) + credit
+        if status == NEEDS_INPUT and len(program) < cap and len(output) < depth:
+            queue.append((program + (0,), len(output)))
+            queue.append((program + (1,), len(output)))
+    return SemimeasureTable(
+        machine_name=machine.name, cap=cap, fuel=fuel, depth=depth, units=units,
+    )
 
 class TestProgramParsing:
     def test_hex_round_trip(self):
@@ -200,6 +277,98 @@ class TestApproximateMass:
         with pytest.raises(SemimeasureError, match="depth"):
             approximate_mass(machine, cap=4, fuel=8, depth=0)
 
+
+
+MACHINES = (EchoMachine(), RegisterMachine())
+
+
+class TestMachineStateRule:
+    """run(program, fuel) is the base class's loop over feed."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        machine=st.sampled_from(MACHINES),
+        program=st.lists(st.integers(0, 1), max_size=40).map(tuple),
+        fuel=st.integers(0, 70),
+    )
+    # Fuel 0; fuel spent on the last instruction (OUT1 OUT0 at fuel 2,
+    # more bits pending); an unaffordable REP (OUT1 OUT1 REP at fuel 4);
+    # echo with less fuel than program.
+    @example(machine=MACHINES[0], program=(), fuel=0)
+    @example(machine=MACHINES[0], program=(1, 0), fuel=0)
+    @example(machine=MACHINES[1], program=(), fuel=0)
+    @example(machine=MACHINES[1], program=(0, 1, 0), fuel=0)
+    @example(machine=MACHINES[1], program=(0, 1, 0, 0, 0, 1, 1, 0), fuel=2)
+    @example(machine=MACHINES[1], program=(0, 1, 0, 0, 1, 0, 1, 1, 1), fuel=4)
+    @example(machine=MACHINES[0], program=(1, 1, 0, 1, 0), fuel=3)
+    def test_run_matches_oracle(self, machine, program, fuel):
+        oracle = ORACLE_RUNS[machine.name]
+        assert machine.run(program, fuel) == oracle(program, fuel)
+
+    def test_fuel_spent_on_the_last_instruction(self):
+        # OUT1 OUT0 at fuel 2: both run, and the machine is out of fuel
+        # before it reads another bit.
+        machine = RegisterMachine()
+        state, status = machine.start(2)
+        for bit in (0, 1, 0, 0, 0, 1):
+            assert status == NEEDS_INPUT
+            state, status = machine.feed(state, bit)
+        assert (machine.output(state), status) == ((1, 0), RUNNING)
+        assert machine.run((0, 1, 0, 0, 0, 1, 1, 0), 2) == ((1, 0), RUNNING)
+
+    def test_machines_define_only_the_state_rule(self):
+        for cls in (EchoMachine, RegisterMachine):
+            assert {"start", "feed", "output"} <= set(vars(cls))
+            assert "run" not in vars(cls)
+
+    def test_missing_rule_cannot_be_built(self):
+        class NoFeed(MonotoneMachine):
+            def start(self, fuel):
+                return (), NEEDS_INPUT
+
+            def output(self, state):
+                return state
+
+        with pytest.raises(TypeError):
+            NoFeed()
+
+
+class TestMergedWalk:
+    """approximate_mass against the replay of every program."""
+
+    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+    @pytest.mark.parametrize("fuel", [6, 64])
+    @pytest.mark.parametrize("depth", [4, 8])
+    def test_matches_replay_at_every_cap(self, machine, fuel, depth):
+        for cap in range(1, 17):
+            got = approximate_mass(machine, cap=cap, fuel=fuel, depth=depth)
+            want = replay_table(machine, cap, fuel, depth)
+            assert got == want, cap
+            assert got.to_json() == want.to_json()
+
+    def test_never_runs_a_program(self, monkeypatch):
+        def refuse(self, program, fuel):
+            raise AssertionError("approximate_mass replayed a program")
+
+        monkeypatch.setattr(MonotoneMachine, "run", refuse)
+        for machine in MACHINES:
+            approximate_mass(machine, cap=12, fuel=24, depth=6)
+
+    def test_large_cap_stays_bounded(self):
+        # Cap 30 would be 2^31 replays; merged states need a few
+        # tens of thousands of feeds.
+        class Counting(RegisterMachine):
+            feeds = 0
+
+            def feed(self, state, bit):
+                Counting.feeds += 1
+                return super().feed(state, bit)
+
+        large = approximate_mass(Counting(), cap=30, fuel=64, depth=6)
+        assert Counting.feeds < 1 << 17
+        small = approximate_mass(RegisterMachine(), cap=24, fuel=64, depth=6)
+        for bits, count in small.units.items():
+            assert count << 6 <= large.units.get(bits, 0)
 
 class TestNormalize:
     def synthetic(self):
