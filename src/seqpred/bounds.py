@@ -26,9 +26,8 @@ caller supplies the cap.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .predictors import ExpectationReport, PredictionError
 
@@ -55,18 +54,6 @@ class Relation:
     verdict: str
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "left": self.left,
-            "right": self.right,
-            "margin": self.margin,
-            "strict": self.strict,
-            "applicable": self.applicable,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -87,20 +74,8 @@ class BoundReport:
         return tuple(r.name for r in self.relations if r.verdict == "fail")
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "bound-report/1",
-            "kind": self.kind,
-            "horizon": self.horizon,
-            "entropy": self.entropy,
-            "entropy_cap": self.entropy_cap,
-            "passed": self.passed,
-            "relations": [r.to_dict() for r in self.relations],
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        return {**asdict(self), "schema": "bound-report/1",
+                "passed": self.passed}
 
     def format_table(self) -> str:
         width = max(len(r.name) for r in self.relations)
@@ -129,33 +104,43 @@ def _relation(name, left, right, *, strict, entropy, applicable=True,
     )
 
 
+def _skipped_if(note, relations):
+    """The relations as computed, or, given a note saying why they cannot
+    be checked, each as a skipped row with zero sides and margin."""
+    if note is None:
+        return relations
+    return [
+        Relation(name=r.name, left=0.0, right=0.0, margin=0.0, strict=False,
+                 applicable=False, verdict="skipped", note=note)
+        for r in relations
+    ]
+
+
 def _require_exact(report: ExpectationReport) -> None:
     if report.mode != "exact":
         raise BoundsInputError("bounds require exact expectations")
 
 
 def _general_source(report):
-    """Totals and steps for the general predictor, if any were computed."""
+    """(total, steps, skip note) for the general predictor; without one in
+    the report, zero placeholders and the note that skips its relations."""
     if report.step_general is None:
-        return None, None
-    return report.total("general"), report.step_general
+        return (0.0, (0.0,) * report.horizon,
+                "no general predictor in the report")
+    return report.total("general"), report.step_general, None
 
 
 def _budget_relations(entropy, entropy_cap, quadratic):
+    note = None
     if entropy_cap is None:
+        entropy_cap = 0.0
         note = "no prior weight for the informed measure; budget skipped"
-        return (
-            _relation("entropy_within_budget", 0.0, 0.0, strict=False,
-                      entropy=entropy, applicable=False, note=note),
-            _relation("quadratic_within_half_budget", 0.0, 0.0, strict=False,
-                      entropy=entropy, applicable=False, note=note),
-        )
-    return (
+    return _skipped_if(note, [
         _relation("entropy_within_budget", entropy, entropy_cap,
                   strict=False, entropy=entropy, tolerance=BUDGET_TOLERANCE),
         _relation("quadratic_within_half_budget", quadratic, entropy_cap / 2.0,
                   strict=False, entropy=entropy, tolerance=BUDGET_TOLERANCE),
-    )
+    ])
 
 
 def check_probabilistic_bounds(
@@ -169,7 +154,7 @@ def check_probabilistic_bounds(
     d1 = report.distance_total
     d2 = report.quadratic_total
     h = report.entropy_total
-    e_gen, step_gen = _general_source(report)
+    e_gen, step_gen, no_general = _general_source(report)
 
     rels = [
         _relation("gap_within_total_variation",
@@ -190,30 +175,19 @@ def check_probabilistic_bounds(
     rels.append(_relation("informed_entropy_gap_above_entropy",
                           h, lower, strict=True, entropy=h,
                           applicable=gap_applicable, note=gap_note))
-    if e_gen is None:
-        note = "no general predictor in the report"
-        rels.append(_relation("informed_within_twice_general", 0.0, 0.0,
-                              strict=False, entropy=h, applicable=False,
-                              note=note))
-        rels.append(_relation("informed_within_twice_general_stepwise",
-                              0.0, 0.0, strict=False, entropy=h,
-                              applicable=False, note=note))
-        rels.append(_relation("mixture_within_twice_general_entropy_term",
-                              0.0, 0.0, strict=False, entropy=h,
-                              applicable=False, note=note))
-    else:
-        rels.append(_relation("informed_within_twice_general",
-                              e_inf, 2.0 * e_gen, strict=False, entropy=h))
-        step_margin = min(
-            2.0 * g - i for i, g in zip(report.step_informed, step_gen)
-        )
-        rels.append(_relation("informed_within_twice_general_stepwise",
-                              -step_margin, 0.0, strict=False, entropy=h,
-                              note="worst step"))
-        rels.append(_relation("mixture_within_twice_general_entropy_term",
-                              e_mix,
-                              2.0 * e_gen + h + math.sqrt(4.0 * e_gen * h),
-                              strict=True, entropy=h))
+    step_margin = min(
+        2.0 * g - i for i, g in zip(report.step_informed, step_gen)
+    )
+    rels.extend(_skipped_if(no_general, [
+        _relation("informed_within_twice_general",
+                  e_inf, 2.0 * e_gen, strict=False, entropy=h),
+        _relation("informed_within_twice_general_stepwise",
+                  -step_margin, 0.0, strict=False, entropy=h,
+                  note="worst step"),
+        _relation("mixture_within_twice_general_entropy_term",
+                  e_mix, 2.0 * e_gen + h + math.sqrt(4.0 * e_gen * h),
+                  strict=True, entropy=h),
+    ]))
     rels.extend(_budget_relations(h, entropy_cap, d2))
     return BoundReport(
         kind="probabilistic",
@@ -234,7 +208,7 @@ def check_threshold_bounds(
     t_mix = report.threshold_mixture_total
     h = report.entropy_total
     gap = t_mix - t_inf
-    e_gen, step_gen = _general_source(report)
+    e_gen, step_gen, no_general = _general_source(report)
 
     rels = [
         _relation("threshold_gap_nonnegative",
@@ -247,30 +221,19 @@ def check_threshold_bounds(
                   gap, h + math.sqrt(4.0 * t_inf * h + h * h),
                   strict=True, entropy=h),
     ]
-    if e_gen is None:
-        note = "no general predictor in the report"
-        rels.append(_relation("threshold_informed_within_general", 0.0, 0.0,
-                              strict=False, entropy=h, applicable=False,
-                              note=note))
-        rels.append(_relation("threshold_informed_within_general_stepwise",
-                              0.0, 0.0, strict=False, entropy=h,
-                              applicable=False, note=note))
-        rels.append(_relation("threshold_mixture_within_general_entropy_term",
-                              0.0, 0.0, strict=False, entropy=h,
-                              applicable=False, note=note))
-    else:
-        rels.append(_relation("threshold_informed_within_general",
-                              t_inf, e_gen, strict=False, entropy=h))
-        step_margin = min(
-            g - t for t, g in zip(report.step_threshold_informed, step_gen)
-        )
-        rels.append(_relation("threshold_informed_within_general_stepwise",
-                              -step_margin, 0.0, strict=False, entropy=h,
-                              note="worst step"))
-        rels.append(_relation("threshold_mixture_within_general_entropy_term",
-                              t_mix,
-                              e_gen + h + math.sqrt(4.0 * e_gen * h + h * h),
-                              strict=True, entropy=h))
+    step_margin = min(
+        g - t for t, g in zip(report.step_threshold_informed, step_gen)
+    )
+    rels.extend(_skipped_if(no_general, [
+        _relation("threshold_informed_within_general",
+                  t_inf, e_gen, strict=False, entropy=h),
+        _relation("threshold_informed_within_general_stepwise",
+                  -step_margin, 0.0, strict=False, entropy=h,
+                  note="worst step"),
+        _relation("threshold_mixture_within_general_entropy_term",
+                  t_mix, e_gen + h + math.sqrt(4.0 * e_gen * h + h * h),
+                  strict=True, entropy=h),
+    ]))
     rels.extend(_budget_relations(h, entropy_cap, report.quadratic_total))
     return BoundReport(
         kind="threshold",
@@ -294,18 +257,6 @@ class TrendRow:
     passed: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "entropy": self.entropy,
-            "ratio_excess": self.ratio_excess,
-            "ratio_envelope": self.ratio_envelope,
-            "threshold_ratio_excess": self.threshold_ratio_excess,
-            "threshold_ratio_envelope": self.threshold_ratio_envelope,
-            "passed": self.passed,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class TrendReport:
@@ -316,16 +267,14 @@ class TrendReport:
         return all(row.passed for row in self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "trend-report/1",
-            "passed": self.passed,
-            "rows": [row.to_dict() for row in self.rows],
-        }
+        return {**asdict(self), "schema": "trend-report/1",
+                "passed": self.passed}
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+def require_increasing(horizons) -> None:
+    """A horizon sweep must be strictly increasing."""
+    if any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise BoundsInputError(f"horizons must increase, got {horizons}")
 
 
 def convergence_trend(reports) -> TrendReport:
@@ -342,9 +291,7 @@ def convergence_trend(reports) -> TrendReport:
         raise BoundsInputError("need at least one report for a trend")
     for report in reports:
         _require_exact(report)
-    horizons = [r.horizon for r in reports]
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise BoundsInputError(f"horizons must increase, got {horizons}")
+    require_increasing([r.horizon for r in reports])
     informed = [r.informed_total for r in reports]
     if any(b < a - TOLERANCE for a, b in zip(informed, informed[1:])):
         raise BoundsInputError(

@@ -16,7 +16,6 @@ the config and seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,6 +25,7 @@ from .bounds import (
     check_probabilistic_bounds,
     check_threshold_bounds,
     convergence_trend,
+    require_increasing,
 )
 from .dicegame import (
     GAME_MODES,
@@ -39,7 +39,7 @@ from .dicegame import (
 )
 from .inequality_lab import GridError, run_all_scans
 from .measures import BinaryString, MeasureError
-from .numerics import fmt17
+from .numerics import fmt17, write_json
 from .predictors import (
     EXACT_HORIZON_CAP,
     ConstantPredictor,
@@ -66,10 +66,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _exact_horizons(config) -> list[int]:
+    """The config's horizons, each within the exact enumeration cap."""
+    horizons = cfg.resolve_horizons(config)
+    for h in horizons:
+        if h > EXACT_HORIZON_CAP:
+            raise cfg.ConfigError(
+                f"horizon {h} exceeds the exact enumeration cap "
+                f"{EXACT_HORIZON_CAP}"
+            )
+    return horizons
 
 
 def cmd_verify_bounds(args) -> int:
@@ -82,13 +88,8 @@ def cmd_verify_bounds(args) -> int:
         )
     weighted, xi, mu = cfg.mixture_from_config(config)
     rho = cfg.build_predictor(config["rho"]) if "rho" in config else None
-    horizons = cfg.resolve_horizons(config)
-    for h in horizons:
-        if h > EXACT_HORIZON_CAP:
-            raise cfg.ConfigError(
-                f"horizon {h} exceeds the exact enumeration cap "
-                f"{EXACT_HORIZON_CAP}"
-            )
+    horizons = _exact_horizons(config)
+    require_increasing(horizons)
     member_names = [m.name for m, _ in weighted.components]
     cap = (
         weighted.entropy_budget_nats(mu.name)
@@ -111,7 +112,7 @@ def cmd_verify_bounds(args) -> int:
         print(threshold.format_table())
     trend = convergence_trend(reports)
     all_passed = all_passed and trend.passed
-    _write_json(out / "verify-bounds.json", {
+    write_json(out / "verify-bounds.json", {
         "schema": "verify-bounds/1",
         "true_measure": mu.name,
         "mixture": xi.name,
@@ -138,10 +139,10 @@ def cmd_inequalities(args) -> int:
     section = cfg.read_section(config, "inequalities", ("grid", "explore"))
     grid = cfg.build_grid_spec(section.get("grid", {}))
     explore_pairs = cfg.build_explore_pairs(section.get("explore", {}))
-    out = _out_dir(args)
     strict, explored = run_all_scans(
         grid, explore_pairs=explore_pairs, threads=args.threads,
     )
+    out = _out_dir(args)
     all_passed = True
     for report in strict:
         report.write_csv(out / f"margins-{report.inequality}.csv")
@@ -217,6 +218,7 @@ def cmd_dicegame(args) -> int:
     names = section.get("predictors", list(_GAME_PREDICTORS[:5]))
     if not isinstance(names, list):
         raise cfg.ConfigError("game.predictors must be a list of names")
+    predictors = [_game_predictor(name, rule, spec) for name in names]
 
     out = _out_dir(args)
     turnaround = run_turnaround_experiment(
@@ -240,8 +242,7 @@ def cmd_dicegame(args) -> int:
         f"empirical crossing "
         f"{turnaround.crossing_round if turnaround.crossing_round else 'none'}"
     )
-    for i, name in enumerate(names):
-        predictor = _game_predictor(name, rule, spec)
+    for i, (name, predictor) in enumerate(zip(names, predictors)):
         traces = [
             play(spec, rule, predictor, rounds, seed=(seed, i, g), mode=mode)
             for g in range(games)
@@ -255,7 +256,7 @@ def cmd_dicegame(args) -> int:
             "crossing_round": first_profitable_round(mean_trace),
         })
         print(f"{name}: mean profit/round {per_round:.2f} cents")
-    _write_json(out / "dicegame-summary.json", summary)
+    write_json(out / "dicegame-summary.json", summary)
     return 0
 
 
@@ -266,7 +267,10 @@ def cmd_simulate(args) -> int:
         seed = args.seed
     _weighted, xi, mu = cfg.mixture_from_config(config)
     rho = cfg.build_predictor(config["rho"]) if "rho" in config else None
-    horizons = cfg.resolve_horizons(config)
+    horizons = (
+        _exact_horizons(config) if mode == "exact"
+        else cfg.resolve_horizons(config)
+    )
     out = _out_dir(args)
     for h in horizons:
         if mode == "exact":
@@ -276,7 +280,7 @@ def cmd_simulate(args) -> int:
                 mu, xi, h, samples=samples, seed=seed, rho=rho,
             )
         stem = f"expectations-{mode}-n{h}"
-        report.write_json(out / f"{stem}.json")
+        write_json(out / f"{stem}.json", report.to_dict())
         report.write_csv(out / f"{stem}.csv")
         print(
             f"n={h} ({mode}): informed {fmt17(report.informed_total)}, "
@@ -305,8 +309,7 @@ def cmd_approximate_m(args) -> int:
     depth = cfg.int_field(section, "depth", 6, 1, "semimeasure")
     table = approximate_mass(machine, cap=cap, fuel=fuel, depth=depth)
     out = _out_dir(args)
-    with open(out / "semimeasure-table.json", "w") as fh:
-        fh.write(table.to_json())
+    write_json(out / "semimeasure-table.json", table.to_dict())
     rows = []
     for length in range(depth):
         for i in range(2**length):

@@ -29,10 +29,9 @@ one a full-mesh evaluation gives, bit for bit, at any thread count.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -180,17 +179,6 @@ class ScanRow:
     argmin_z: float
     violations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "admissible": self.admissible,
-            "min_margin": self.min_margin,
-            "argmin_y": self.argmin_y,
-            "argmin_z": self.argmin_z,
-            "violations": self.violations,
-        }
-
 
 @dataclass(frozen=True)
 class MarginReport:
@@ -216,19 +204,10 @@ class MarginReport:
         return min(row.min_margin for row in self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "margin-report/1",
-            "inequality": self.inequality,
-            "mode": self.mode,
-            "grid": {
-                "y_count": self.y_count,
-                "z_count": self.z_count,
-                "epsilon": self.epsilon,
-            },
-            "passed": self.passed,
-            "diagonal_max_abs": self.diagonal_max_abs,
-            "rows": [row.to_dict() for row in self.rows],
-        }
+        body = asdict(self)
+        grid = {key: body.pop(key) for key in ("y_count", "z_count", "epsilon")}
+        return {**body, "schema": "margin-report/1", "grid": grid,
+                "passed": self.passed}
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -250,11 +229,6 @@ class MarginReport:
                     self.z_count,
                     fmt17(self.epsilon),
                 ])
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def sample_distance_params(count: int, seed: int):

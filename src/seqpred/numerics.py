@@ -1,7 +1,9 @@
-"""Shared numeric helpers: stable log sums, binary KL, threshold step."""
+"""Shared numeric helpers: stable log sums, binary KL, threshold step,
+and the artifact formats (CSV floats, JSON files)."""
 
 from __future__ import annotations
 
+import json
 import math
 
 # Prediction emitted by a thresholding predictor when the conditional
@@ -56,3 +58,14 @@ def fmt17(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
+
+
+def json_text(payload) -> str:
+    """An artifact's JSON text: indent 2, sorted keys, one trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` to `path` as artifact JSON (the json_text format)."""
+    with open(path, "w") as fh:
+        fh.write(json_text(payload))

@@ -20,7 +20,6 @@ tree or estimated by seeded Monte Carlo over sampled paths.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -391,11 +390,6 @@ class ExpectationReport:
             body["std_errors"] = dict(self.std_errors or {})
         return body
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     def write_csv(self, path) -> None:
         names = [n for n in _STEP_FIELDS if self.steps(n) is not None]
         with open(path, "w", newline="") as fh:
@@ -508,17 +502,18 @@ def monte_carlo_expectations(
     track_rho = rho is not None
     rng = np.random.default_rng(seed)
     names = [name for name in _STEP_FIELDS if track_rho or name != "general"]
-    codes = np.ones(samples, dtype=np.int64)  # leading sentinel bit
-    states = {1: (mu.start(), xi.start(), rho.start() if track_rho else None)}
+    # ids[i] is the rank of path i among the distinct paths sampled so
+    # far, in lexicographic order, and states[id] its cursor states; an
+    # id never exceeds the sample count, so any horizon fits in int64.
+    ids = np.zeros(samples, dtype=np.int64)
+    states = [(mu.start(), xi.start(), rho.start() if track_rho else None)]
     per_path = {name: np.zeros(samples) for name in names}
     step_means = {name: [] for name in names}
 
     for _ in range(n):
-        unique, inverse = np.unique(codes, return_inverse=True)
         rows = []
-        y_vals = np.empty(len(unique))
-        for idx, code in enumerate(unique):
-            mu_state, xi_state, rho_state = states[int(code)]
+        y_vals = np.empty(len(states))
+        for idx, (mu_state, xi_state, rho_state) in enumerate(states):
             y = mu.p1(mu_state)
             z = xi.p1(xi_state)
             r = rho.p1(rho_state) if track_rho else None
@@ -526,23 +521,22 @@ def monte_carlo_expectations(
             rows.append([t for t in step_terms(y, z, r) if t is not None])
         values = np.array(rows).T
         for name, column in zip(names, values):
-            gathered = column[inverse]
+            gathered = column[ids]
             per_path[name] += gathered
             step_means[name].append(float(gathered.mean()))
         draws = rng.random(samples)
-        bits = (draws < y_vals[inverse]).astype(np.int64)
-        new_codes = codes * 2 + bits
-        next_states = {}
-        for child in np.unique(new_codes):
-            child = int(child)
-            parent, bit = child >> 1, child & 1
-            mu_state, xi_state, rho_state = states[parent]
-            next_states[child] = (
+        bits = (draws < y_vals[ids]).astype(np.int64)
+        children, ids = np.unique(ids * 2 + bits, return_inverse=True)
+        next_states = []
+        for child in children.tolist():
+            mu_state, xi_state, rho_state = states[child >> 1]
+            bit = child & 1
+            next_states.append((
                 mu.step(mu_state, bit),
                 xi.step(xi_state, bit),
                 rho.step(rho_state, bit) if track_rho else None,
-            )
-        codes, states = new_codes, next_states
+            ))
+        states = next_states
 
     std_errors = {
         name: float(per_path[name].std(ddof=1) / math.sqrt(samples))

@@ -23,6 +23,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .measures import EMPTY, BinaryString, SequenceMeasure
+from .numerics import json_text
 
 HALTED = "halted"
 RUNNING = "running"
@@ -194,8 +195,8 @@ class SemimeasureTable:
     def mass(self, s: BinaryString) -> float:
         return math.ldexp(self.mass_units(s), -self.cap)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "schema": "semimeasure-table/1",
             "machine": self.machine_name,
             "cap": self.cap,
@@ -206,7 +207,9 @@ class SemimeasureTable:
                 for bits, count in self.units.items()
             },
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def to_json(self) -> str:
+        return json_text(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "SemimeasureTable":

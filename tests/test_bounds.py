@@ -12,6 +12,7 @@ from seqpred.bounds import (
     convergence_trend,
 )
 from seqpred.measures import BernoulliMeasure, MarkovMeasure, deterministic
+from seqpred.numerics import write_json
 from seqpred.predictors import (
     LaplaceRulePredictor,
     exact_expectations,
@@ -68,6 +69,10 @@ class TestProbabilisticRelations:
         skipped = relation(result, "mixture_above_informed_entropy_gap")
         assert skipped.verdict == "skipped"
         assert "2 * entropy" in skipped.note
+        # Not applicable, yet computed: the sides keep their values
+        # (with E_inf = 0 the lower side is H itself).
+        assert skipped.left == report.entropy_total > 0.0
+        assert skipped.right == report.mixture_total
         assert result.passed
 
     def test_general_relations_present_with_rho(self):
@@ -83,6 +88,27 @@ class TestProbabilisticRelations:
         result = check_probabilistic_bounds(report)
         skipped = relation(result, "informed_within_twice_general")
         assert skipped.verdict == "skipped"
+        assert result.passed
+
+    @pytest.mark.parametrize(
+        "check", [check_probabilistic_bounds, check_threshold_bounds],
+    )
+    def test_unavailable_relations_are_zero_rows(self, check):
+        # Without a general predictor or an entropy cap, the three general
+        # relations and the budget pair are skipped rows with zero sides.
+        _, report = standard_run(rho=False)
+        result = check(report)
+        notes = {
+            "no general predictor in the report": 3,
+            "no prior weight for the informed measure; budget skipped": 2,
+        }
+        zero_rows = [r for r in result.relations if r.note in notes]
+        assert len(zero_rows) == sum(notes.values())
+        for r in zero_rows:
+            assert (r.left, r.right, r.margin) == (0.0, 0.0, 0.0)
+            assert (r.strict, r.applicable, r.verdict) == (
+                False, False, "skipped",
+            )
         assert result.passed
 
     def test_budget_relations(self):
@@ -167,7 +193,7 @@ class TestThresholdRelations:
         wc, report = standard_run()
         result = check_threshold_bounds(report)
         path = tmp_path / "bounds.json"
-        result.write_json(path)
+        write_json(path, result.to_dict())
         payload = json.loads(path.read_text())
         assert payload["schema"] == "bound-report/1"
         assert payload["passed"] is True
@@ -243,7 +269,7 @@ class TestTrend:
     def test_trend_serialization(self, tmp_path):
         trend = convergence_trend(self.sweep((4, 8, 12)))
         path = tmp_path / "trend.json"
-        trend.write_json(path)
+        write_json(path, trend.to_dict())
         payload = json.loads(path.read_text())
         assert payload["passed"] is True
         assert len(payload["rows"]) == 3

@@ -401,9 +401,11 @@ def with_class_weights(weights):
 
 
 class TestMalformedFields:
-    """Fields that ended in a traceback, or were ignored, before checking.
+    """Fields that ended in a traceback, were ignored, or were checked
+    only after some output, before checking.
 
-    Each must exit 2 with a config error before any artifact is written.
+    Each must exit 2 with a config error before anything is printed or
+    any artifact is written.
     """
 
     CASES = {
@@ -465,6 +467,16 @@ class TestMalformedFields:
             ("simulate", two_bernoulli_config(sample=100), []),
         "top-level-section-unknown":
             ("verify-bounds", two_bernoulli_config(game={}), []),
+        "verify-horizons-repeated":
+            ("verify-bounds", two_bernoulli_config(horizons=[2, 2]), []),
+        "simulate-exact-horizon-beyond-cap":
+            ("simulate", two_bernoulli_config(horizons=[4, 20]), []),
+        "dicegame-unknown-predictor-after-known": ("dicegame", {"game": dict(
+            GAME["game"], predictors=["informed", "bogus"])}, []),
+        "inequalities-unknown-explore-name": ("inequalities", {"inequalities": {
+            "grid": {"y_count": 40, "z_count": 40, "param_samples": 2},
+            "explore": {"pinsker": [[1.0, 1.0]]},
+        }}, []),
     }
 
     @pytest.mark.parametrize(
@@ -474,10 +486,11 @@ class TestMalformedFields:
         config = write_config(tmp_path, payload)
         out = tmp_path / "out"
         code = run([command, "--config", config, "--out", str(out), *flags])
-        err = capsys.readouterr().err
+        printed = capsys.readouterr()
         assert code == 2
-        assert "config error" in err
-        assert "Traceback" not in err
+        assert "config error" in printed.err
+        assert "Traceback" not in printed.err
+        assert printed.out == ""
         assert not out.exists()
 
 
@@ -557,6 +570,39 @@ class TestShippedConfigs:
             "--out", str(tmp_path),
         ])
         assert code == 0
+
+
+class TestArtifactFormat:
+    """Every JSON artifact of every subcommand has one format: indent 2,
+    sorted keys, one trailing newline."""
+
+    # (subcommand, shipped config, JSON files it writes)
+    RUNS = [
+        ("verify-bounds", "two_bernoulli", 1),
+        ("verify-bounds", "markov_mix", 1),
+        ("simulate", "two_bernoulli", 6),
+        ("simulate", "markov_mix", 3),
+        ("simulate", "monte_carlo", 1),
+        ("inequalities", "inequalities", 0),
+        ("dicegame", "dicegame", 1),
+        ("approximate-m", "semimeasure", 1),
+    ]
+
+    @pytest.mark.parametrize("command, name, count", RUNS)
+    def test_json_artifacts_are_canonical(self, tmp_path, capsys, command,
+                                          name, count):
+        config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        out = tmp_path / "out"
+        code = run([command, "--config", str(config), "--out", str(out),
+                    "--threads", "2"])
+        capsys.readouterr()
+        assert code == 0
+        written = sorted(out.glob("*.json"))
+        assert len(written) == count
+        for path in written:
+            text = path.read_text()
+            canonical = json.dumps(json.loads(text), indent=2, sort_keys=True)
+            assert text == canonical + "\n", path.name
 
 
 class TestClosedStdout:

@@ -12,7 +12,7 @@ from seqpred.measures import (
     MarkovMeasure,
     deterministic,
 )
-from seqpred.numerics import kl_bernoulli
+from seqpred.numerics import kl_bernoulli, write_json
 from seqpred.predictors import (
     EXACT_HORIZON_CAP,
     SCHEMES,
@@ -252,7 +252,7 @@ class TestExactExpectations:
         report = exact_expectations(mu, xi, 5, rho=LaplaceRulePredictor())
         j = tmp_path / "report.json"
         c = tmp_path / "report.csv"
-        report.write_json(j)
+        write_json(j, report.to_dict())
         report.write_csv(c)
         payload = json.loads(j.read_text())
         assert payload["schema"] == "expectation-report/1"
@@ -283,6 +283,37 @@ class TestMonteCarlo:
         mc = monte_carlo_expectations(mu, xi, 4, samples=100, seed=3)
         assert mc.std_errors["informed"] == pytest.approx(0.0, abs=1e-15)
         assert mc.informed_total == pytest.approx(4 * 2 * 0.3 * 0.7, rel=1e-12)
+
+    # Expected totals over 200 steps for the Bernoulli(0.2) source and an
+    # index-code mixture of Bernoulli 0.2, 0.5 and 0.8 (weights 1/2, 1/8,
+    # 1/8) with the Laplace rule as general predictor.  The mixture
+    # conditional depends only on (step, ones), so these are exact sums
+    # over that lattice of binomial path masses, not a tree enumeration.
+    LATTICE_N200 = {
+        "informed": 64.00000000000023,
+        "mixture": 64.70513575815195,
+        "general": 65.75788218610006,
+        "distance": 1.1752262635862012,
+        "quadratic": 0.17520411617583168,
+        "entropy": 0.4054621710811718,
+        "threshold_informed": 40.00000000000014,
+        "threshold_mixture": 40.17578919756295,
+        "threshold_gap": 0.17578919756280822,
+    }
+
+    def test_long_horizon_agrees_with_lattice_totals(self):
+        # Far beyond 63 steps, where a path no longer fits in 64 bits.
+        components = [BernoulliMeasure(t) for t in (0.2, 0.5, 0.8)]
+        xi = MixtureMeasure(WeightedClass.with_index_code_weights(components))
+        mc = monte_carlo_expectations(
+            components[0], xi, 200, samples=300, seed=1,
+            rho=LaplaceRulePredictor(),
+        )
+        assert mc.horizon == 200
+        assert mc.std_errors.keys() == self.LATTICE_N200.keys()
+        for name, exact in self.LATTICE_N200.items():
+            se = mc.std_errors[name]
+            assert abs(mc.total(name) - exact) <= 4 * se + 1e-12, name
 
     def test_reproducible(self):
         mu, xi = two_bernoulli_setup()
