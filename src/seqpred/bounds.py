@@ -124,10 +124,10 @@ def _require_exact(report: ExpectationReport) -> None:
 def _general_source(report):
     """(total, steps, skip note) for the general predictor; without one in
     the report, zero placeholders and the note that skips its relations."""
-    if report.step_general is None:
+    if report.steps("general") is None:
         return (0.0, (0.0,) * report.horizon,
                 "no general predictor in the report")
-    return report.total("general"), report.step_general, None
+    return report.total("general"), report.steps("general"), None
 
 
 def _budget_relations(entropy, entropy_cap, quadratic):
@@ -176,7 +176,7 @@ def check_probabilistic_bounds(
                           h, lower, strict=True, entropy=h,
                           applicable=gap_applicable, note=gap_note))
     step_margin = min(
-        2.0 * g - i for i, g in zip(report.step_informed, step_gen)
+        2.0 * g - i for i, g in zip(report.steps("informed"), step_gen)
     )
     rels.extend(_skipped_if(no_general, [
         _relation("informed_within_twice_general",
@@ -222,7 +222,7 @@ def check_threshold_bounds(
                   strict=True, entropy=h),
     ]
     step_margin = min(
-        g - t for t, g in zip(report.step_threshold_informed, step_gen)
+        g - t for t, g in zip(report.steps("threshold_informed"), step_gen)
     )
     rels.extend(_skipped_if(no_general, [
         _relation("threshold_informed_within_general",

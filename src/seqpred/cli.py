@@ -60,10 +60,20 @@ from .semimeasure import (
 CONFIG_ERRORS = (cfg.ConfigError, MeasureError, GridError, SemimeasureError)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _out_path(text: str) -> Path:
+    """--out: a directory, or a path under one that can become one."""
+    out = Path(text)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise argparse.ArgumentTypeError(f"{path} is not a directory")
+            break
     return out
+
+
+def _out_dir(args) -> Path:
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
 def _exact_horizons(config) -> list[int]:
@@ -336,40 +346,35 @@ def cmd_approximate_m(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config JSON")
-    common.add_argument("--out", default=".", help="directory for artifacts")
     common.add_argument(
-        "--seed", type=int, default=None,
-        help="override the config seed where one applies",
-    )
-    common.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for grid scans",
+        "--out", type=_out_path, default=".", help="directory for artifacts",
     )
     parser = argparse.ArgumentParser(
         prog="seqpred",
         description="sequence prediction experiments and bound checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "verify-bounds", parents=[common],
-        help="exact error accounting and bound relations",
-    ).set_defaults(func=cmd_verify_bounds)
-    sub.add_parser(
-        "inequalities", parents=[common],
-        help="dense grid scans of the pointwise inequalities",
-    ).set_defaults(func=cmd_inequalities)
-    sub.add_parser(
-        "dicegame", parents=[common],
-        help="betting game simulation and turnaround analysis",
-    ).set_defaults(func=cmd_dicegame)
-    sub.add_parser(
-        "simulate", parents=[common],
-        help="expectation reports, exact or Monte Carlo",
-    ).set_defaults(func=cmd_simulate)
-    sub.add_parser(
-        "approximate-m", parents=[common],
-        help="program enumeration into a semimeasure table",
-    ).set_defaults(func=cmd_approximate_m)
+    commands = {}
+    for name, func, summary in (
+        ("verify-bounds", cmd_verify_bounds,
+         "exact error accounting and bound relations"),
+        ("inequalities", cmd_inequalities,
+         "dense grid scans of the pointwise inequalities"),
+        ("dicegame", cmd_dicegame,
+         "betting game simulation and turnaround analysis"),
+        ("simulate", cmd_simulate, "expectation reports, exact or Monte Carlo"),
+        ("approximate-m", cmd_approximate_m,
+         "program enumeration into a semimeasure table"),
+    ):
+        commands[name] = sub.add_parser(name, parents=[common], help=summary)
+        commands[name].set_defaults(func=func)
+    for name in ("dicegame", "simulate"):
+        commands[name].add_argument(
+            "--seed", type=int, default=None, help="override the config seed",
+        )
+    commands["inequalities"].add_argument(
+        "--threads", type=int, default=1, help="worker threads for grid scans",
+    )
     return parser
 
 
@@ -377,8 +382,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise cfg.ConfigError(f"--seed must be >= 0, got {args.seed}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise cfg.ConfigError(f"--seed must be >= 0, got {seed}")
         code = args.func(args)
         sys.stdout.flush()
         return code

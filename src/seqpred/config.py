@@ -36,6 +36,7 @@ each optionally wrapped as {"type": "threshold", "base": spec}.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .dicegame import GameMeasure, GameSpec, dealer_rule
 from .inequality_lab import GridSpec
@@ -277,10 +278,7 @@ def resolve_mode(config: dict):
 def build_grid_spec(section) -> GridSpec:
     if not isinstance(section, dict):
         raise ConfigError("inequalities.grid must be an object")
-    _check_keys(section, (
-        "y_count", "z_count", "epsilon", "refine_per_side",
-        "param_samples", "param_seed",
-    ), "grid")
+    _check_keys(section, [f.name for f in fields(GridSpec)], "grid")
     for key, value in section.items():
         if key == "epsilon":
             if not _is_real(value):
@@ -333,10 +331,7 @@ def _is_real(value) -> bool:
 def build_game_spec(section) -> GameSpec:
     if not isinstance(section, dict):
         raise ConfigError("game.spec must be an object")
-    _check_keys(
-        section, ("stake_cents", "payout_cents", "die1_white", "die2_white"),
-        "game.spec",
-    )
+    _check_keys(section, [f.name for f in fields(GameSpec)], "game.spec")
     kwargs = dict(section)
     try:
         for key in ("die1_white", "die2_white"):

@@ -37,15 +37,6 @@ from .numerics import kl_bernoulli, threshold_step
 
 EXACT_HORIZON_CAP = 16
 
-SCHEMES = (
-    "informed",
-    "mixture",
-    "general",
-    "threshold-informed",
-    "threshold-mixture",
-)
-
-
 class PredictionError(MeasureError):
     """Invalid prediction request or report operation."""
 
@@ -136,21 +127,6 @@ class StepQuantities:
     @property
     def threshold_informed_error(self) -> float:
         return self._terms["threshold_informed"]
-
-
-def step_error(quantities: StepQuantities, scheme: str) -> float:
-    """Expected error of one prediction scheme for a single step."""
-    if scheme == "informed":
-        return quantities.informed_error
-    if scheme == "mixture":
-        return quantities.mixture_error
-    if scheme == "general":
-        return quantities.general_error
-    if scheme == "threshold-informed":
-        return quantities.threshold_informed_error
-    if scheme == "threshold-mixture":
-        return quantities.threshold_mixture_error
-    raise PredictionError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
 class Predictor(StateRule):
@@ -274,10 +250,11 @@ def deterministic_wrap(source) -> ThresholdPredictor:
 class ExpectationReport:
     """Per-step expected quantities and their totals over a horizon.
 
-    step_* sequences hold the expectation of the per-step quantity at
-    each step k = 1..horizon under the informed measure; totals are their
-    sums.  threshold_gap tracks the expected absolute difference between
-    the two threshold schemes' step errors, which must telescope to the
+    per_step maps each quantity name, in _STEP_FIELDS order ("general"
+    only when a predictor rho was walked), to its expectation at each step
+    k = 1..horizon under the informed measure; totals are the sums.
+    threshold_gap tracks the expected absolute difference between the two
+    threshold schemes' step errors, which must telescope to the
     difference of their totals.
     """
 
@@ -286,15 +263,7 @@ class ExpectationReport:
     mu_name: str
     xi_name: str
     rho_name: str | None
-    step_informed: tuple[float, ...]
-    step_mixture: tuple[float, ...]
-    step_general: tuple[float, ...] | None
-    step_distance: tuple[float, ...]
-    step_quadratic: tuple[float, ...]
-    step_entropy: tuple[float, ...]
-    step_threshold_informed: tuple[float, ...]
-    step_threshold_mixture: tuple[float, ...]
-    step_threshold_gap: tuple[float, ...]
+    per_step: dict[str, tuple[float, ...]]
     telescoped_entropy: float | None = None
     samples: int | None = None
     seed: int | None = None
@@ -303,7 +272,7 @@ class ExpectationReport:
     def steps(self, name: str) -> tuple[float, ...] | None:
         if name not in _STEP_FIELDS:
             raise PredictionError(f"unknown quantity {name!r}")
-        return getattr(self, f"step_{name}")
+        return self.per_step.get(name)
 
     def total(self, name: str) -> float | None:
         steps = self.steps(name)
@@ -353,14 +322,9 @@ class ExpectationReport:
             )
         if horizon == self.horizon:
             return self
-        cut = {
-            f"step_{name}": (
-                None if self.steps(name) is None else self.steps(name)[:horizon]
-            )
-            for name in _STEP_FIELDS
-        }
         return replace(
-            self, horizon=horizon, telescoped_entropy=None, std_errors=None, **cut
+            self, horizon=horizon, telescoped_entropy=None, std_errors=None,
+            per_step={name: s[:horizon] for name, s in self.per_step.items()},
         )
 
     def to_dict(self) -> dict:
@@ -371,16 +335,8 @@ class ExpectationReport:
             "mu": self.mu_name,
             "xi": self.xi_name,
             "rho": self.rho_name,
-            "totals": {
-                name: self.total(name)
-                for name in _STEP_FIELDS
-                if self.steps(name) is not None
-            },
-            "steps": {
-                name: list(self.steps(name))
-                for name in _STEP_FIELDS
-                if self.steps(name) is not None
-            },
+            "totals": {name: self.total(name) for name in self.per_step},
+            "steps": {name: list(s) for name, s in self.per_step.items()},
         }
         if self.telescoped_entropy is not None:
             body["telescoped_entropy"] = self.telescoped_entropy
@@ -391,14 +347,56 @@ class ExpectationReport:
         return body
 
     def write_csv(self, path) -> None:
-        names = [n for n in _STEP_FIELDS if self.steps(n) is not None]
+        columns = self.per_step.values()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["step"] + names)
+            writer.writerow(["step", *self.per_step])
             for k in range(self.horizon):
                 writer.writerow(
-                    [k + 1] + [numerics.fmt17(self.steps(n)[k]) for n in names]
+                    [k + 1] + [numerics.fmt17(steps[k]) for steps in columns]
                 )
+
+
+class _NoPredictor:
+    """Stand-in for an absent predictor rho: its state and conditional are
+    None, so step_terms leaves the general term out."""
+
+    name = None
+
+    def start(self, *_):
+        return None
+
+    p1 = step = start
+
+
+_NO_PREDICTOR = _NoPredictor()
+
+
+def _walked(rho: Predictor | None, n: int):
+    """The predictor an engine walks, once the horizon n is checked."""
+    if n < 1:
+        raise PredictionError(f"horizon must be >= 1, got {n}")
+    return _NO_PREDICTOR if rho is None else rho
+
+
+def _report(mode, mu, xi, rho, columns, std_errors=None, **fields):
+    """Either engine's report from one column per _STEP_FIELDS name; with
+    the stand-in rho the general column holds no values and is dropped."""
+    per_step = dict(zip(_STEP_FIELDS, map(tuple, columns)))
+    if rho is _NO_PREDICTOR:
+        del per_step["general"]
+    if std_errors is not None:
+        std_errors = {name: std_errors[name] for name in per_step}
+    return ExpectationReport(
+        horizon=len(per_step["informed"]),
+        mode=mode,
+        mu_name=mu.name,
+        xi_name=xi.name,
+        rho_name=rho.name,
+        per_step=per_step,
+        std_errors=std_errors,
+        **fields,
+    )
 
 
 def exact_expectations(
@@ -414,17 +412,13 @@ def exact_expectations(
     recomputes the entropy total from the leaf probability ratios (the
     telescoped form) and insists the two routes agree to 1e-9.
     """
-    if n < 1:
-        raise PredictionError(f"horizon must be >= 1, got {n}")
+    rho = _walked(rho, n)
     if n > EXACT_HORIZON_CAP:
         raise PredictionError(
             f"horizon {n} exceeds the exact enumeration cap "
             f"{EXACT_HORIZON_CAP}; use monte_carlo_expectations"
         )
-    track_rho = rho is not None
     steps = [[0.0] * n for _ in _STEP_FIELDS]
-    if not track_rho:
-        steps[_STEP_FIELDS.index("general")] = None
     leaf_terms = []
     path = []
 
@@ -439,9 +433,9 @@ def exact_expectations(
             return
         y = mu.p1(mu_state)
         z = xi.p1(xi_state)
-        r = rho.p1(rho_state) if track_rho else None
+        r = rho.p1(rho_state)
         for row, term in zip(steps, step_terms(y, z, r, math.exp(log_mu))):
-            if row is not None:
+            if term is not None:
                 row[k] += term
         for bit, p_mu in ((0, 1.0 - y), (1, y)):
             if p_mu <= 0.0:
@@ -452,11 +446,11 @@ def exact_expectations(
                 log_mu + math.log(p_mu),
                 mu.step(mu_state, bit),
                 xi.step(xi_state, bit),
-                rho.step(rho_state, bit) if track_rho else None,
+                rho.step(rho_state, bit),
             )
             path.pop()
 
-    walk(0, 0.0, mu.start(), xi.start(), rho.start() if track_rho else None)
+    walk(0, 0.0, mu.start(), xi.start(), rho.start())
 
     telescoped = math.fsum(leaf_terms)
     entropy_total = math.fsum(steps[_STEP_FIELDS.index("entropy")])
@@ -465,18 +459,7 @@ def exact_expectations(
             "entropy total disagrees with its telescoped form: "
             f"{entropy_total} vs {telescoped}"
         )
-    return ExpectationReport(
-        horizon=n,
-        mode="exact",
-        mu_name=mu.name,
-        xi_name=xi.name,
-        rho_name=rho.name if track_rho else None,
-        telescoped_entropy=telescoped,
-        **{
-            f"step_{name}": (None if row is None else tuple(row))
-            for name, row in zip(_STEP_FIELDS, steps)
-        },
-    )
+    return _report("exact", mu, xi, rho, steps, telescoped_entropy=telescoped)
 
 
 def monte_carlo_expectations(
@@ -493,37 +476,32 @@ def monte_carlo_expectations(
     path; per-path sums give unbiased total estimates and their standard
     errors.  Results depend only on (seed, samples, n), not on scheduling.
     """
-    if n < 1:
-        raise PredictionError(f"horizon must be >= 1, got {n}")
+    rho = _walked(rho, n)
     if samples < 2:
         raise PredictionError(f"need at least 2 samples, got {samples}")
     if seed is None:
         raise PredictionError("monte carlo mode requires a seed")
-    track_rho = rho is not None
     rng = np.random.default_rng(seed)
-    names = [name for name in _STEP_FIELDS if track_rho or name != "general"]
     # ids[i] is the rank of path i among the distinct paths sampled so
     # far, in lexicographic order, and states[id] its cursor states; an
     # id never exceeds the sample count, so any horizon fits in int64.
     ids = np.zeros(samples, dtype=np.int64)
-    states = [(mu.start(), xi.start(), rho.start() if track_rho else None)]
-    per_path = {name: np.zeros(samples) for name in names}
-    step_means = {name: [] for name in names}
+    states = [(mu.start(), xi.start(), rho.start())]
+    per_path = np.zeros((len(_STEP_FIELDS), samples))
+    step_means = [[] for _ in _STEP_FIELDS]
 
     for _ in range(n):
         rows = []
         y_vals = np.empty(len(states))
         for idx, (mu_state, xi_state, rho_state) in enumerate(states):
-            y = mu.p1(mu_state)
-            z = xi.p1(xi_state)
-            r = rho.p1(rho_state) if track_rho else None
-            y_vals[idx] = y
-            rows.append([t for t in step_terms(y, z, r) if t is not None])
-        values = np.array(rows).T
-        for name, column in zip(names, values):
+            y = y_vals[idx] = mu.p1(mu_state)
+            rows.append(step_terms(y, xi.p1(xi_state), rho.p1(rho_state)))
+        # An absent general term becomes NaN here; _report drops it.
+        values = np.array(rows, dtype=float).T
+        for sums, means, column in zip(per_path, step_means, values):
             gathered = column[ids]
-            per_path[name] += gathered
-            step_means[name].append(float(gathered.mean()))
+            sums += gathered
+            means.append(float(gathered.mean()))
         draws = rng.random(samples)
         bits = (draws < y_vals[ids]).astype(np.int64)
         children, ids = np.unique(ids * 2 + bits, return_inverse=True)
@@ -534,28 +512,15 @@ def monte_carlo_expectations(
             next_states.append((
                 mu.step(mu_state, bit),
                 xi.step(xi_state, bit),
-                rho.step(rho_state, bit) if track_rho else None,
+                rho.step(rho_state, bit),
             ))
         states = next_states
 
     std_errors = {
-        name: float(per_path[name].std(ddof=1) / math.sqrt(samples))
-        for name in names
+        name: float(sums.std(ddof=1) / math.sqrt(samples))
+        for name, sums in zip(_STEP_FIELDS, per_path)
     }
-    step_fields = {
-        f"step_{name}": (
-            tuple(step_means[name]) if name in names else None
-        )
-        for name in _STEP_FIELDS
-    }
-    return ExpectationReport(
-        horizon=n,
-        mode="monte-carlo",
-        mu_name=mu.name,
-        xi_name=xi.name,
-        rho_name=rho.name if track_rho else None,
-        samples=samples,
-        seed=seed,
-        std_errors=std_errors,
-        **step_fields,
+    return _report(
+        "monte-carlo", mu, xi, rho, step_means, std_errors=std_errors,
+        samples=samples, seed=seed,
     )

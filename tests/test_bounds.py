@@ -141,7 +141,9 @@ class TestProbabilisticRelations:
         # terms allow; the checker has to flag it.
         bad = dataclasses.replace(
             report,
-            step_mixture=tuple(v + 1.0 for v in report.step_mixture),
+            per_step=dict(report.per_step, mixture=tuple(
+                v + 1.0 for v in report.steps("mixture")
+            )),
         )
         result = check_probabilistic_bounds(bad)
         assert not result.passed
@@ -182,9 +184,9 @@ class TestThresholdRelations:
         _, report = standard_run()
         bad = dataclasses.replace(
             report,
-            step_threshold_gap=tuple(
-                v + 1e-6 for v in report.step_threshold_gap
-            ),
+            per_step=dict(report.per_step, threshold_gap=tuple(
+                v + 1e-6 for v in report.steps("threshold_gap")
+            )),
         )
         result = check_threshold_bounds(bad)
         assert "threshold_gap_matches_step_sum" in result.failures
@@ -251,7 +253,8 @@ class TestTrend:
     def test_monotone_informed_totals_required(self):
         reports = self.sweep((4, 8))
         swapped = [reports[0], dataclasses.replace(
-            reports[1], step_informed=(0.0,) * 8,
+            reports[1],
+            per_step=dict(reports[1].per_step, informed=(0.0,) * 8),
         )]
         with pytest.raises(BoundsInputError, match="not monotone"):
             convergence_trend(swapped)
@@ -308,4 +311,4 @@ class TestTieConstant:
         for tie, expected in ((0, 0.4), (1, 0.6)):
             monkeypatch.setattr(numerics, "TIE_PREDICTION", tie)
             report = self.tied_report(n=1)
-            assert report.step_threshold_mixture[0] == pytest.approx(expected)
+            assert report.steps("threshold_mixture")[0] == pytest.approx(expected)

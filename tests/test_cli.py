@@ -494,6 +494,54 @@ class TestMalformedFields:
         assert not out.exists()
 
 
+class TestUsageErrors:
+    """Usage mistakes exit 2 through argparse before any work runs."""
+
+    COMMANDS = [
+        "verify-bounds", "inequalities", "dicegame", "simulate", "approximate-m",
+    ]
+
+    def usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        printed = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "Traceback" not in printed.err
+        assert printed.out == ""
+        return printed.err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_naming_a_file(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, {})
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        for out in (taken, taken / "sub"):
+            err = self.usage_error(
+                capsys, [command, "--config", config, "--out", str(out)],
+            )
+            assert f"{taken} is not a directory" in err
+        assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("verify-bounds", ["--seed", "5", "--threads", "3"]),
+        ("verify-bounds", ["--seed", "5"]),
+        ("inequalities", ["--seed", "5"]),
+        ("dicegame", ["--threads", "2"]),
+        ("simulate", ["--threads", "2"]),
+        ("approximate-m", ["--seed", "5"]),
+        ("approximate-m", ["--threads", "2"]),
+    ])
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, command,
+                                            flags):
+        config = write_config(tmp_path, two_bernoulli_config())
+        out = tmp_path / "out"
+        err = self.usage_error(
+            capsys, [command, "--config", config, "--out", str(out), *flags],
+        )
+        assert "unrecognized arguments" in err
+        assert not out.exists()
+
+
 class TestApproximateM:
     def test_writes_table_and_conditionals(self, tmp_path):
         config = write_config(tmp_path, {
@@ -593,8 +641,9 @@ class TestArtifactFormat:
                                           name, count):
         config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
         out = tmp_path / "out"
+        flags = ["--threads", "2"] if command == "inequalities" else []
         code = run([command, "--config", str(config), "--out", str(out),
-                    "--threads", "2"])
+                    *flags])
         capsys.readouterr()
         assert code == 0
         written = sorted(out.glob("*.json"))

@@ -15,7 +15,6 @@ from seqpred.measures import (
 from seqpred.numerics import kl_bernoulli, write_json
 from seqpred.predictors import (
     EXACT_HORIZON_CAP,
-    SCHEMES,
     ConstantPredictor,
     LaplaceRulePredictor,
     MeasurePredictor,
@@ -25,7 +24,6 @@ from seqpred.predictors import (
     deterministic_wrap,
     exact_expectations,
     monte_carlo_expectations,
-    step_error,
 )
 from seqpred.universal import MixtureMeasure, WeightedClass
 
@@ -105,27 +103,11 @@ class TestStepQuantities:
             0.3 * 0.75 + 0.25 * 0.7
         )
 
-    def test_step_error_dispatch(self):
-        q = StepQuantities(y=0.3, z=0.8, r=0.5)
-        assert step_error(q, "informed") == q.informed_error
-        assert step_error(q, "mixture") == q.mixture_error
-        assert step_error(q, "general") == q.general_error
-        assert step_error(q, "threshold-informed") == q.threshold_informed_error
-        assert step_error(q, "threshold-mixture") == q.threshold_mixture_error
-        with pytest.raises(PredictionError):
-            step_error(q, "oracle")
-
     def test_validation(self):
         with pytest.raises(PredictionError):
             StepQuantities(y=1.2, z=0.5)
         with pytest.raises(PredictionError):
             StepQuantities(y=0.5, z=-0.1)
-
-    def test_schemes_tuple(self):
-        assert set(SCHEMES) == {
-            "informed", "mixture", "general",
-            "threshold-informed", "threshold-mixture",
-        }
 
 
 class TestPredictors:
@@ -211,7 +193,7 @@ class TestExactExpectations:
         # For a memoryless environment the informed step error is flat.
         mu, xi = two_bernoulli_setup()
         report = exact_expectations(mu, xi, 10)
-        for value in report.step_informed:
+        for value in report.steps("informed"):
             assert value == pytest.approx(2 * 0.3 * 0.7, rel=1e-12)
 
     def test_telescoped_entropy_recorded(self):
@@ -319,9 +301,9 @@ class TestMonteCarlo:
         mu, xi = two_bernoulli_setup()
         a = monte_carlo_expectations(mu, xi, 5, samples=500, seed=21)
         b = monte_carlo_expectations(mu, xi, 5, samples=500, seed=21)
-        assert a.step_mixture == b.step_mixture
+        assert a.steps("mixture") == b.steps("mixture")
         c = monte_carlo_expectations(mu, xi, 5, samples=500, seed=22)
-        assert a.step_mixture != c.step_mixture
+        assert a.steps("mixture") != c.steps("mixture")
 
     def test_validation(self):
         mu, xi = two_bernoulli_setup()
@@ -329,3 +311,32 @@ class TestMonteCarlo:
             monte_carlo_expectations(mu, xi, 5, samples=1, seed=1)
         with pytest.raises(PredictionError, match="seed"):
             monte_carlo_expectations(mu, xi, 5, samples=100, seed=None)
+
+
+class TestReportLayout:
+    ALL = (
+        "informed", "mixture", "general", "distance", "quadratic", "entropy",
+        "threshold_informed", "threshold_mixture", "threshold_gap",
+    )
+    RUNS = {
+        "exact": lambda mu, xi, rho: exact_expectations(mu, xi, 6, rho=rho),
+        "monte-carlo": lambda mu, xi, rho: monte_carlo_expectations(
+            mu, xi, 6, samples=300, seed=5, rho=rho,
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", RUNS)
+    def test_rho_adds_only_the_general_entry(self, mode):
+        mu, xi = two_bernoulli_setup()
+        without = self.RUNS[mode](mu, xi, None)
+        with_rho = self.RUNS[mode](mu, xi, LaplaceRulePredictor())
+        assert tuple(with_rho.per_step) == self.ALL
+        rest = dict(with_rho.per_step)
+        del rest["general"]
+        assert without.per_step == rest
+        assert tuple(without.per_step) == tuple(rest)
+        assert without.steps("general") is None
+        assert without.general_total is None
+        if mode == "monte-carlo":
+            assert tuple(with_rho.std_errors) == self.ALL
+            assert without.std_errors.keys() == rest.keys()
