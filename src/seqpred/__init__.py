@@ -23,13 +23,12 @@ from .predictors import (
     LaplaceRulePredictor,
     MeasurePredictor,
     Predictor,
-    StepQuantities,
     ThresholdPredictor,
     deterministic_wrap,
     exact_expectations,
     monte_carlo_expectations,
 )
-from .universal import MixtureMeasure, WeightedClass, mixture, posterior
+from .universal import MixtureMeasure, WeightedClass
 
 __version__ = "0.1.0"
 
@@ -46,14 +45,11 @@ __all__ = [
     "NullEventError",
     "Predictor",
     "SequenceMeasure",
-    "StepQuantities",
     "ThresholdPredictor",
     "WeightedClass",
     "deterministic",
     "deterministic_wrap",
     "exact_expectations",
-    "mixture",
     "monte_carlo_expectations",
-    "posterior",
     "__version__",
 ]

@@ -39,12 +39,12 @@ from .dicegame import (
 )
 from .inequality_lab import GridError, run_all_scans
 from .measures import BinaryString, MeasureError
-from .numerics import fmt17, write_json
+from .numerics import fmt17, write_csv, write_json
 from .predictors import (
-    EXACT_HORIZON_CAP,
     ConstantPredictor,
     LaplaceRulePredictor,
     MeasurePredictor,
+    check_exact_horizon,
     deterministic_wrap,
     exact_expectations,
     monte_carlo_expectations,
@@ -71,6 +71,15 @@ def _out_path(text: str) -> Path:
     return out
 
 
+def _thread_count(text: str) -> int:
+    """--threads: a worker count, an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        )
+    return int(text)
+
+
 def _out_dir(args) -> Path:
     args.out.mkdir(parents=True, exist_ok=True)
     return args.out
@@ -78,14 +87,7 @@ def _out_dir(args) -> Path:
 
 def _exact_horizons(config) -> list[int]:
     """The config's horizons, each within the exact enumeration cap."""
-    horizons = cfg.resolve_horizons(config)
-    for h in horizons:
-        if h > EXACT_HORIZON_CAP:
-            raise cfg.ConfigError(
-                f"horizon {h} exceeds the exact enumeration cap "
-                f"{EXACT_HORIZON_CAP}"
-            )
-    return horizons
+    return [check_exact_horizon(h) for h in cfg.resolve_horizons(config)]
 
 
 def cmd_verify_bounds(args) -> int:
@@ -330,10 +332,9 @@ def cmd_approximate_m(args) -> int:
             except SemimeasureError:
                 continue
             rows.append((bits, p0, 1.0 - p0))
-    with open(out / "semimeasure-conditionals.csv", "w", newline="") as fh:
-        fh.write("context,p0,p1\n")
-        for bits, p0, p1 in rows:
-            fh.write(f"{bits},{fmt17(p0)},{fmt17(p1)}\n")
+    write_csv(
+        out / "semimeasure-conditionals.csv", ["context", "p0", "p1"], rows,
+    )
     empty = BinaryString.empty()
     print(
         f"{machine_name} machine, cap {cap}, fuel {fuel}, depth {depth}: "
@@ -373,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed", type=int, default=None, help="override the config seed",
         )
     commands["inequalities"].add_argument(
-        "--threads", type=int, default=1, help="worker threads for grid scans",
+        "--threads", type=_thread_count, default=1,
+        help="worker threads for grid scans",
     )
     return parser
 

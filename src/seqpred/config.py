@@ -25,12 +25,13 @@ through seed below).
     }
 
 Measure specs: {"type": "bernoulli", "theta": p}, {"type": "markov",
-"order": k, "table": {pattern: p}}, either with an optional "name",
-{"type": "deterministic", "generator": "alternating" | "ones" | "zeros" |
-"program:<hex>", "fuel": steps} or {"type": "game", "rule": name, "spec":
-{...}}; a spec holds no other keys.  Predictor specs: {"type": "laplace"},
-{"type": "constant", "p": p}, {"type": "measure", "measure": spec},
-each optionally wrapped as {"type": "threshold", "base": spec}.
+"order": k, "table": {pattern: p}}, either with an optional string
+"name", {"type": "deterministic", "generator": "alternating" | "ones" |
+"zeros" | "program:<hex>", "fuel": steps} or {"type": "game", "rule":
+name, "spec": {...}}.  Predictor specs: {"type": "laplace"}, {"type":
+"constant", "p": p}, {"type": "measure", "measure": spec}, each
+optionally wrapped as {"type": "threshold", "base": spec}.  A spec of
+either kind holds no other keys.
 """
 
 from __future__ import annotations
@@ -118,6 +119,13 @@ _MEASURE_KEYS = {
     "game": ("type", "rule", "spec"),
 }
 
+_PREDICTOR_KEYS = {
+    "laplace": ("type",),
+    "constant": ("type", "p"),
+    "measure": ("type", "measure"),
+    "threshold": ("type", "base"),
+}
+
 _EXPERIMENT_KEYS = (
     "class", "true_measure", "rho", "horizons", "mode", "samples", "seed",
 )
@@ -131,6 +139,8 @@ def build_measure(spec, where: str = "measure") -> SequenceMeasure:
         raise ConfigError(f"{where} has unknown measure type {kind!r}")
     _check_keys(spec, _MEASURE_KEYS[kind], where)
     name = spec.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ConfigError(f"{where}.name must be a string, got {name!r}")
     try:
         if kind == "bernoulli":
             return BernoulliMeasure(
@@ -225,6 +235,9 @@ def build_predictor(spec, where: str = "rho") -> Predictor:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object, got {spec!r}")
     kind = _require(spec, "type", where)
+    if not isinstance(kind, str) or kind not in _PREDICTOR_KEYS:
+        raise ConfigError(f"{where} has unknown predictor type {kind!r}")
+    _check_keys(spec, _PREDICTOR_KEYS[kind], where)
     try:
         if kind == "laplace":
             return LaplaceRulePredictor()
@@ -234,13 +247,12 @@ def build_predictor(spec, where: str = "rho") -> Predictor:
             return MeasurePredictor(
                 build_measure(_require(spec, "measure", where), where)
             )
-        if kind == "threshold":
-            return ThresholdPredictor(
-                build_predictor(_require(spec, "base", where), f"{where}.base")
-            )
+        # kind == "threshold"
+        return ThresholdPredictor(
+            build_predictor(_require(spec, "base", where), f"{where}.base")
+        )
     except MeasureError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where} has unknown predictor type {kind!r}")
 
 
 def resolve_horizons(config: dict) -> list[int]:
@@ -262,17 +274,20 @@ def resolve_horizons(config: dict) -> list[int]:
 
 
 def resolve_mode(config: dict):
-    """Returns (mode, samples, seed); seed is required for monte-carlo."""
+    """Returns (mode, samples, seed); samples and seed are required for
+    monte-carlo and checked whenever present (None when absent)."""
     mode = config.get("mode", "exact")
-    if mode == "exact":
-        return "exact", None, config.get("seed")
-    if mode == "monte-carlo":
-        return (
-            "monte-carlo",
-            int_field(config, "samples", None, 2, "config"),
-            int_field(config, "seed", None, 0, "config"),
+    if mode not in ("exact", "monte-carlo"):
+        raise ConfigError(
+            f"mode must be 'exact' or 'monte-carlo', got {mode!r}"
         )
-    raise ConfigError(f"mode must be 'exact' or 'monte-carlo', got {mode!r}")
+    required = mode == "monte-carlo"
+    samples = seed = None
+    if required or "samples" in config:
+        samples = int_field(config, "samples", None, 2, "config")
+    if required or "seed" in config:
+        seed = int_field(config, "seed", None, 0, "config")
+    return mode, samples, seed
 
 
 def build_grid_spec(section) -> GridSpec:
@@ -345,14 +360,15 @@ def build_game_spec(section) -> GameSpec:
 def _as_fraction(value, where: str):
     from fractions import Fraction
 
+    if not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{where}: expected a number or 'p/q' string, got {value!r}")
+    try:
+        fraction = Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{where}: cannot parse fraction {value!r}") from None
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ValueError:
-            raise ConfigError(f"{where}: cannot parse fraction {value!r}") from None
-    if isinstance(value, (int, float)):
-        return Fraction(value).limit_denominator(10**9)
-    raise ConfigError(f"{where}: expected a number or 'p/q' string, got {value!r}")
+        return fraction
+    return fraction.limit_denominator(10**9)
 
 
 def mixture_from_config(config: dict):

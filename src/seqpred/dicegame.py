@@ -23,15 +23,14 @@ fractional cents and keeps them as floats.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import numerics
 from .measures import MeasureError, SequenceMeasure
-from .numerics import fmt17
 from .predictors import Predictor, deterministic_wrap
 from .universal import MixtureMeasure, WeightedClass
 
@@ -257,19 +256,11 @@ class ProfitTrace:
         return self.cumulative_profit[-1] if self.outcomes else 0
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "cumulative_profit_cents", "cumulative_errors"])
-            for i in range(self.rounds):
-                writer.writerow([
-                    i + 1,
-                    _cell(self.cumulative_profit[i]),
-                    _cell(self.cumulative_errors[i]),
-                ])
-
-
-def _cell(value):
-    return fmt17(value) if isinstance(value, float) else value
+        numerics.write_csv(
+            path, ["round", "cumulative_profit_cents", "cumulative_errors"],
+            zip(range(1, self.rounds + 1), self.cumulative_profit,
+                self.cumulative_errors),
+        )
 
 
 def play(

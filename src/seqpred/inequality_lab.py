@@ -28,15 +28,13 @@ one a full-mesh evaluation gives, bit for bit, at any thread count.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from . import numerics
-from .numerics import fmt17
 
 INEQUALITIES = ("distance", "lower", "threshold", "kl_quadratic")
 
@@ -180,6 +178,11 @@ class ScanRow:
     violations: int
 
 
+# The MarginReport fields that describe the mesh: the JSON report's
+# "grid" object and the last columns of every CSV row.
+_GRID_FIELDS = ("y_count", "z_count", "epsilon")
+
+
 @dataclass(frozen=True)
 class MarginReport:
     """Scan outcome for one inequality over all sampled parameters."""
@@ -205,30 +208,16 @@ class MarginReport:
 
     def to_dict(self) -> dict:
         body = asdict(self)
-        grid = {key: body.pop(key) for key in ("y_count", "z_count", "epsilon")}
+        grid = {key: body.pop(key) for key in _GRID_FIELDS}
         return {**body, "schema": "margin-report/1", "grid": grid,
                 "passed": self.passed}
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([
-                "a", "b", "admissible", "min_margin", "argmin_y", "argmin_z",
-                "violations", "y_count", "z_count", "epsilon",
-            ])
-            for row in self.rows:
-                writer.writerow([
-                    "" if row.a is None else fmt17(row.a),
-                    "" if row.b is None else fmt17(row.b),
-                    int(row.admissible),
-                    fmt17(row.min_margin),
-                    fmt17(row.argmin_y),
-                    fmt17(row.argmin_z),
-                    row.violations,
-                    self.y_count,
-                    self.z_count,
-                    fmt17(self.epsilon),
-                ])
+        grid = tuple(getattr(self, key) for key in _GRID_FIELDS)
+        numerics.write_csv(
+            path, [f.name for f in fields(ScanRow)] + list(_GRID_FIELDS),
+            (astuple(row) + grid for row in self.rows),
+        )
 
 
 def sample_distance_params(count: int, seed: int):

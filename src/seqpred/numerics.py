@@ -1,8 +1,9 @@
 """Shared numeric helpers: stable log sums, binary KL, threshold step,
-and the artifact formats (CSV floats, JSON files)."""
+and the artifact formats (CSV and JSON files)."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -58,6 +59,24 @@ def fmt17(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and `rows` to `path` as artifact CSV: csv's
+    default dialect (CRLF line ends), floats through fmt17, None as an
+    empty cell and bools as 0/1."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_csv_cell(value) for value in row] for row in rows)
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return fmt17(value)
 
 
 def json_text(payload) -> str:

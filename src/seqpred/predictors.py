@@ -19,10 +19,8 @@ tree or estimated by seeded Monte Carlo over sampled paths.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +35,19 @@ from .numerics import kl_bernoulli, threshold_step
 
 EXACT_HORIZON_CAP = 16
 
+
 class PredictionError(MeasureError):
     """Invalid prediction request or report operation."""
+
+
+def check_exact_horizon(n: int) -> int:
+    """n, once it is known to be within the exact enumeration cap."""
+    if n > EXACT_HORIZON_CAP:
+        raise PredictionError(
+            f"horizon {n} exceeds the exact enumeration cap "
+            f"{EXACT_HORIZON_CAP}"
+        )
+    return n
 
 
 _STEP_FIELDS = (
@@ -58,9 +67,9 @@ def step_terms(y: float, z: float, r: float | None = None, weight: float = 1.0):
     """The per-step quantities in _STEP_FIELDS order, each scaled by weight.
 
     The weight multiplies first (weight * 2.0 * y * (1.0 - y)), so the
-    exact walk's probability-weighted terms and the unweighted terms of
-    Monte Carlo and StepQuantities come from the same expressions; the
-    general term is None without a predictor conditional r.
+    exact walk's probability-weighted terms and Monte Carlo's unweighted
+    terms come from the same expressions; the general term is None
+    without a predictor conditional r.
     """
     e_theta_mix = abs(y - threshold_step(z - 0.5))
     e_theta_inf = y if y < 1.0 - y else 1.0 - y
@@ -75,58 +84,6 @@ def step_terms(y: float, z: float, r: float | None = None, weight: float = 1.0):
         weight * e_theta_mix,
         weight * abs(e_theta_mix - e_theta_inf),
     )
-
-
-@dataclass(frozen=True)
-class StepQuantities:
-    """Conditionals for one step: informed y, mixture z, optional general r."""
-
-    y: float
-    z: float
-    r: float | None = None
-
-    def __post_init__(self):
-        for label, value in (("y", self.y), ("z", self.z), ("r", self.r)):
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise PredictionError(f"{label} outside [0, 1]: {value}")
-
-    @cached_property
-    def _terms(self) -> dict:
-        return dict(zip(_STEP_FIELDS, step_terms(self.y, self.z, self.r)))
-
-    @property
-    def informed_error(self) -> float:
-        return self._terms["informed"]
-
-    @property
-    def mixture_error(self) -> float:
-        return self._terms["mixture"]
-
-    @property
-    def general_error(self) -> float:
-        if self.r is None:
-            raise PredictionError("no general predictor conditional supplied")
-        return self._terms["general"]
-
-    @property
-    def distance(self) -> float:
-        return self._terms["distance"]
-
-    @property
-    def quadratic_distance(self) -> float:
-        return self._terms["quadratic"]
-
-    @property
-    def relative_entropy(self) -> float:
-        return self._terms["entropy"]
-
-    @property
-    def threshold_mixture_error(self) -> float:
-        return self._terms["threshold_mixture"]
-
-    @property
-    def threshold_informed_error(self) -> float:
-        return self._terms["threshold_informed"]
 
 
 class Predictor(StateRule):
@@ -314,19 +271,6 @@ class ExpectationReport:
     def threshold_gap_total(self) -> float:
         return self.total("threshold_gap")
 
-    def truncated(self, horizon: int) -> "ExpectationReport":
-        """Report over the first `horizon` steps of this run."""
-        if not 1 <= horizon <= self.horizon:
-            raise PredictionError(
-                f"truncation horizon {horizon} outside 1..{self.horizon}"
-            )
-        if horizon == self.horizon:
-            return self
-        return replace(
-            self, horizon=horizon, telescoped_entropy=None, std_errors=None,
-            per_step={name: s[:horizon] for name, s in self.per_step.items()},
-        )
-
     def to_dict(self) -> dict:
         body = {
             "schema": "expectation-report/1",
@@ -347,14 +291,11 @@ class ExpectationReport:
         return body
 
     def write_csv(self, path) -> None:
-        columns = self.per_step.values()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", *self.per_step])
-            for k in range(self.horizon):
-                writer.writerow(
-                    [k + 1] + [numerics.fmt17(steps[k]) for steps in columns]
-                )
+        rows = zip(*self.per_step.values())
+        numerics.write_csv(
+            path, ["step", *self.per_step],
+            ([k, *row] for k, row in enumerate(rows, 1)),
+        )
 
 
 class _NoPredictor:
@@ -413,11 +354,7 @@ def exact_expectations(
     telescoped form) and insists the two routes agree to 1e-9.
     """
     rho = _walked(rho, n)
-    if n > EXACT_HORIZON_CAP:
-        raise PredictionError(
-            f"horizon {n} exceeds the exact enumeration cap "
-            f"{EXACT_HORIZON_CAP}; use monte_carlo_expectations"
-        )
+    check_exact_horizon(n)
     steps = [[0.0] * n for _ in _STEP_FIELDS]
     leaf_terms = []
     path = []

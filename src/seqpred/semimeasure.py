@@ -330,7 +330,3 @@ class TableMeasure(SequenceMeasure):
     def step(self, state, bit: int):
         return state.extended(bit)
 
-
-def as_measure(table: SemimeasureTable, name: str | None = None) -> TableMeasure:
-    """Wrap a table as a SequenceMeasure."""
-    return TableMeasure(table, name)

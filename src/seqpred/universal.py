@@ -169,11 +169,3 @@ class MixtureMeasure(SequenceMeasure):
         names = self.weighted_class.names()
         return [(name, math.exp(t - total)) for name, t in zip(names, terms)]
 
-
-def mixture(weighted_class: WeightedClass, name: str = "mixture") -> MixtureMeasure:
-    return MixtureMeasure(weighted_class, name)
-
-
-def posterior(weighted_class: WeightedClass, context: BinaryString):
-    """Posterior weights of every component given the context."""
-    return MixtureMeasure(weighted_class).posterior(context)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,9 @@ import pytest
 import seqpred.cli as cli
 from seqpred import inequality_lab
 from seqpred.inequality_lab import MarginReport, ScanRow
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -447,6 +452,10 @@ class TestMalformedFields:
             horizons={"start": 4, "stop": 6, "stride": 2}), []),
         "horizon-bool":
             ("verify-bounds", two_bernoulli_config(horizons=[4, True]), []),
+        "game-fraction-zero-denominator": ("dicegame", {"game": dict(
+            GAME["game"], spec={"die1_white": "1/0"})}, []),
+        "game-fraction-infinite": ("dicegame", {"game": dict(
+            GAME["game"], spec={"die2_white": float("inf")})}, []),
         "game-mode-unknown": ("dicegame", {"game": dict(
             GAME["game"], mode="bogus")}, []),
         "bernoulli-unknown-key": ("simulate", with_component(
@@ -473,6 +482,19 @@ class TestMalformedFields:
             ("simulate", two_bernoulli_config(horizons=[4, 20]), []),
         "dicegame-unknown-predictor-after-known": ("dicegame", {"game": dict(
             GAME["game"], predictors=["informed", "bogus"])}, []),
+        "measure-name-list": ("simulate", with_component(
+            {"type": "bernoulli", "theta": 0.7, "name": ["a"]}), []),
+        "true-measure-name-int": ("verify-bounds", two_bernoulli_config(
+            true_measure={"type": "bernoulli", "theta": 0.3, "name": 5}), []),
+        "rho-unknown-key": ("simulate", two_bernoulli_config(
+            rho={"type": "laplace", "bogus": 1}), []),
+        "rho-base-unknown-key": ("verify-bounds", two_bernoulli_config(
+            rho={"type": "threshold", "base": {"type": "constant", "p": 0.5,
+                                               "q": 1}}), []),
+        "exact-samples-string": ("verify-bounds", two_bernoulli_config(
+            samples="many", seed=[1]), []),
+        "exact-seed-list":
+            ("simulate", two_bernoulli_config(seed=[1]), []),
         "inequalities-unknown-explore-name": ("inequalities", {"inequalities": {
             "grid": {"y_count": 40, "z_count": 40, "param_samples": 2},
             "explore": {"pinsker": [[1.0, 1.0]]},
@@ -539,6 +561,18 @@ class TestUsageErrors:
             capsys, [command, "--config", config, "--out", str(out), *flags],
         )
         assert "unrecognized arguments" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_thread_count_below_one(self, tmp_path, capsys, count):
+        config = write_config(tmp_path, {})
+        out = tmp_path / "out"
+        err = self.usage_error(capsys, [
+            "inequalities", "--config", config, "--out", str(out),
+            "--threads", count,
+        ])
+        assert "--threads" in err
         assert not out.exists()
 
 
@@ -621,37 +655,61 @@ class TestShippedConfigs:
 
 
 class TestArtifactFormat:
-    """Every JSON artifact of every subcommand has one format: indent 2,
-    sorted keys, one trailing newline."""
+    """Every artifact of every subcommand has one format per kind: JSON
+    with indent 2, sorted keys and one trailing newline, and CSV exactly
+    as csv's default writer writes its own rows back."""
 
-    # (subcommand, shipped config, JSON files it writes)
+    # (subcommand, shipped config, JSON files, CSV files it writes)
     RUNS = [
-        ("verify-bounds", "two_bernoulli", 1),
-        ("verify-bounds", "markov_mix", 1),
-        ("simulate", "two_bernoulli", 6),
-        ("simulate", "markov_mix", 3),
-        ("simulate", "monte_carlo", 1),
-        ("inequalities", "inequalities", 0),
-        ("dicegame", "dicegame", 1),
-        ("approximate-m", "semimeasure", 1),
+        ("verify-bounds", "two_bernoulli", 1, 0),
+        ("verify-bounds", "markov_mix", 1, 0),
+        ("simulate", "two_bernoulli", 6, 6),
+        ("simulate", "markov_mix", 3, 3),
+        ("simulate", "monte_carlo", 1, 1),
+        ("inequalities", "inequalities", 0, 7),
+        ("dicegame", "dicegame", 1, 5),
+        ("approximate-m", "semimeasure", 1, 1),
     ]
+    # Each run's output directory, so the JSON and CSV checks share it.
+    outputs = {}
 
-    @pytest.mark.parametrize("command, name, count", RUNS)
-    def test_json_artifacts_are_canonical(self, tmp_path, capsys, command,
+    def output(self, tmp_path_factory, command, name):
+        key = (command, name)
+        if key not in self.outputs:
+            config = CONFIGS / f"{name}.json"
+            out = tmp_path_factory.mktemp("artifacts") / "out"
+            flags = ["--threads", "2"] if command == "inequalities" else []
+            code = run([command, "--config", str(config), "--out", str(out),
+                        *flags])
+            assert code == 0
+            self.outputs[key] = out
+        return self.outputs[key]
+
+    @pytest.mark.parametrize("command, name, count", [r[:3] for r in RUNS])
+    def test_json_artifacts_are_canonical(self, tmp_path_factory, command,
                                           name, count):
-        config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
-        out = tmp_path / "out"
-        flags = ["--threads", "2"] if command == "inequalities" else []
-        code = run([command, "--config", str(config), "--out", str(out),
-                    *flags])
-        capsys.readouterr()
-        assert code == 0
+        out = self.output(tmp_path_factory, command, name)
         written = sorted(out.glob("*.json"))
         assert len(written) == count
         for path in written:
             text = path.read_text()
             canonical = json.dumps(json.loads(text), indent=2, sort_keys=True)
             assert text == canonical + "\n", path.name
+
+    @pytest.mark.parametrize(
+        "command, name, count", [(c, n, k) for c, n, _, k in RUNS],
+    )
+    def test_csv_artifacts_are_canonical(self, tmp_path_factory, command,
+                                         name, count):
+        out = self.output(tmp_path_factory, command, name)
+        written = sorted(out.glob("*.csv"))
+        assert len(written) == count
+        for path in written:
+            with open(path, newline="") as fh:
+                text = fh.read()
+            canonical = io.StringIO()
+            csv.writer(canonical).writerows(csv.reader(io.StringIO(text)))
+            assert text == canonical.getvalue(), path.name
 
 
 class TestClosedStdout:

@@ -14,16 +14,17 @@ from seqpred.measures import (
 )
 from seqpred.numerics import kl_bernoulli, write_json
 from seqpred.predictors import (
+    _STEP_FIELDS,
     EXACT_HORIZON_CAP,
     ConstantPredictor,
     LaplaceRulePredictor,
     MeasurePredictor,
     PredictionError,
-    StepQuantities,
     ThresholdPredictor,
     deterministic_wrap,
     exact_expectations,
     monte_carlo_expectations,
+    step_terms,
 )
 from seqpred.universal import MixtureMeasure, WeightedClass
 
@@ -83,31 +84,27 @@ def two_bernoulli_setup():
     return mu, MixtureMeasure(wc)
 
 
+def named_terms(y, z, r=None):
+    return dict(zip(_STEP_FIELDS, step_terms(y, z, r)))
+
+
 class TestStepQuantities:
     def test_closed_forms(self):
-        q = StepQuantities(y=2 / 3, z=0.5)
-        assert q.informed_error == pytest.approx(4 / 9)
-        assert q.mixture_error == pytest.approx(0.5)
-        assert q.distance == pytest.approx(1 / 6)
-        assert q.quadratic_distance == pytest.approx(1 / 36)
-        assert q.relative_entropy == pytest.approx(kl_bernoulli(2 / 3, 0.5))
-        assert q.threshold_informed_error == pytest.approx(1 / 3)
+        q = named_terms(2 / 3, 0.5)
+        assert q["informed"] == pytest.approx(4 / 9)
+        assert q["mixture"] == pytest.approx(0.5)
+        assert q["distance"] == pytest.approx(1 / 6)
+        assert q["quadratic"] == pytest.approx(1 / 36)
+        assert q["entropy"] == pytest.approx(kl_bernoulli(2 / 3, 0.5))
+        assert q["threshold_informed"] == pytest.approx(1 / 3)
         # z = 1/2 is a tie and the tie call is 0, so the step error is y
-        assert q.threshold_mixture_error == pytest.approx(2 / 3)
+        assert q["threshold_mixture"] == pytest.approx(2 / 3)
 
     def test_general_error_requires_rho(self):
-        q = StepQuantities(y=0.3, z=0.4)
-        with pytest.raises(PredictionError):
-            q.general_error
-        assert StepQuantities(y=0.3, z=0.4, r=0.25).general_error == pytest.approx(
+        assert named_terms(0.3, 0.4)["general"] is None
+        assert named_terms(0.3, 0.4, 0.25)["general"] == pytest.approx(
             0.3 * 0.75 + 0.25 * 0.7
         )
-
-    def test_validation(self):
-        with pytest.raises(PredictionError):
-            StepQuantities(y=1.2, z=0.5)
-        with pytest.raises(PredictionError):
-            StepQuantities(y=0.5, z=-0.1)
 
 
 class TestPredictors:
@@ -221,13 +218,13 @@ class TestExactExpectations:
         assert report.mixture_total <= report.entropy_total + 1e-12
 
     def test_truncated_consistency(self):
+        # A step's expectation does not depend on the horizon.
         mu, xi = two_bernoulli_setup()
         full = exact_expectations(mu, xi, 10)
         short = exact_expectations(mu, xi, 4)
-        cut = full.truncated(4)
-        assert cut.horizon == 4
+        assert short.horizon == 4
         for name in ("informed", "mixture", "entropy"):
-            assert cut.steps(name) == short.steps(name)
+            assert full.steps(name)[:4] == short.steps(name)
 
     def test_report_serialization(self, tmp_path):
         mu, xi = two_bernoulli_setup()

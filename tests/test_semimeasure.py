@@ -16,8 +16,8 @@ from seqpred.semimeasure import (
     RegisterMachine,
     SemimeasureError,
     SemimeasureTable,
+    TableMeasure,
     approximate_mass,
-    as_measure,
     normalize,
     program_bits_from_hex,
 )
@@ -398,7 +398,7 @@ class TestNormalize:
 class TestTableMeasure:
     def test_marginalization_where_mass_exists(self):
         table = approximate_mass(RegisterMachine(), cap=12, fuel=48, depth=5)
-        measure = as_measure(table)
+        measure = TableMeasure(table)
         for text in ("", "1", "11", "10"):
             s = BinaryString.parse(text)
             total = sum(
@@ -408,14 +408,14 @@ class TestTableMeasure:
 
     def test_depth_guard(self):
         table = approximate_mass(EchoMachine(), cap=4, fuel=8, depth=3)
-        measure = as_measure(table)
+        measure = TableMeasure(table)
         with pytest.raises(SemimeasureError, match="depth"):
             measure.log_prefix_probability(BinaryString.parse("0101"))
 
     def test_name_defaults_to_machine(self):
         table = approximate_mass(EchoMachine(), cap=4, fuel=8, depth=3)
-        assert as_measure(table).name == "table(echo, cap=4)"
-        assert as_measure(table, "m_hat").name == "m_hat"
+        assert TableMeasure(table).name == "table(echo, cap=4)"
+        assert TableMeasure(table, "m_hat").name == "m_hat"
 
 
 class TestSerialization:

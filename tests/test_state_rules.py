@@ -42,8 +42,8 @@ from seqpred.predictors import (
 from seqpred.semimeasure import (
     RegisterMachine,
     SemimeasureError,
+    TableMeasure,
     approximate_mass,
-    as_measure,
 )
 from seqpred.universal import MixtureMeasure, WeightedClass
 
@@ -73,7 +73,7 @@ def dying_mixture():
 
 
 def register_table():
-    return as_measure(
+    return TableMeasure(
         approximate_mass(RegisterMachine(), cap=12, fuel=48, depth=5)
     )
 

@@ -9,8 +9,6 @@ from seqpred.universal import (
     WeightedClass,
     default_weights,
     index_code_length,
-    mixture,
-    posterior,
 )
 
 
@@ -89,7 +87,7 @@ class TestMixture:
             assert xi.prefix_probability(s) >= floor * (1 - 1e-12)
 
     def test_marginalization(self):
-        xi = mixture(two_bernoulli())
+        xi = MixtureMeasure(two_bernoulli())
         for text in ("", "0", "01", "110", "0101"):
             s = BinaryString.parse(text)
             split = xi.prefix_probability(s.extended(0)) + xi.prefix_probability(
@@ -99,7 +97,7 @@ class TestMixture:
 
     def test_singleton_mixture_equals_component(self):
         m = BernoulliMeasure(0.3)
-        xi = mixture(WeightedClass([(m, 0.5)]))
+        xi = MixtureMeasure(WeightedClass([(m, 0.5)]))
         s = BinaryString.parse("01101")
         assert xi.prefix_probability(s) == pytest.approx(
             m.prefix_probability(s), rel=1e-12
@@ -109,7 +107,7 @@ class TestMixture:
         # The oracle is the Bayes ratio of the mixture's prefix
         # probabilities, which it prices as a weighted sum, not by the
         # state rule the cursor steps.
-        xi = mixture(two_bernoulli())
+        xi = MixtureMeasure(two_bernoulli())
         s = BinaryString.parse("10011")
         cur = xi.cursor()
         for k, bit in enumerate(s):
@@ -140,7 +138,7 @@ class TestMixture:
 class TestPosterior:
     def test_bayes_update_closed_form(self):
         wc = two_bernoulli()
-        post = dict(posterior(wc, BinaryString.parse("1")))
+        post = dict(MixtureMeasure(wc).posterior(BinaryString.parse("1")))
         # w_i theta_i renormalized
         num = {"bernoulli(0.3)": 0.5 * 0.3, "bernoulli(0.7)": 0.125 * 0.7}
         total = sum(num.values())
@@ -149,7 +147,7 @@ class TestPosterior:
 
     def test_posterior_starts_at_prior(self):
         wc = two_bernoulli()
-        post = dict(posterior(wc, EMPTY))
+        post = dict(MixtureMeasure(wc).posterior(EMPTY))
         assert post["bernoulli(0.3)"] == pytest.approx(0.5 / 0.625)
 
     def test_posterior_on_null_context(self):
@@ -157,10 +155,10 @@ class TestPosterior:
 
         wc = WeightedClass([(deterministic("ones"), 0.5)])
         with pytest.raises(NullEventError):
-            posterior(wc, BinaryString.parse("0"))
+            MixtureMeasure(wc).posterior(BinaryString.parse("0"))
 
     def test_posterior_concentrates(self):
         wc = two_bernoulli()
         heavy_ones = BinaryString((1,) * 40)
-        post = dict(posterior(wc, heavy_ones))
+        post = dict(MixtureMeasure(wc).posterior(heavy_ones))
         assert post["bernoulli(0.7)"] > 0.999
