@@ -149,11 +149,11 @@ def check_probabilistic_bounds(
 ) -> BoundReport:
     """Verify the probabilistic-scheme relations on an exact report."""
     _require_exact(report)
-    e_inf = report.informed_total
-    e_mix = report.mixture_total
-    d1 = report.distance_total
-    d2 = report.quadratic_total
-    h = report.entropy_total
+    e_inf = report.total("informed")
+    e_mix = report.total("mixture")
+    d1 = report.total("distance")
+    d2 = report.total("quadratic")
+    h = report.total("entropy")
     e_gen, step_gen, no_general = _general_source(report)
 
     rels = [
@@ -204,9 +204,9 @@ def check_threshold_bounds(
 ) -> BoundReport:
     """Verify the thresholded-scheme relations on an exact report."""
     _require_exact(report)
-    t_inf = report.threshold_informed_total
-    t_mix = report.threshold_mixture_total
-    h = report.entropy_total
+    t_inf = report.total("threshold_informed")
+    t_mix = report.total("threshold_mixture")
+    h = report.total("entropy")
     gap = t_mix - t_inf
     e_gen, step_gen, no_general = _general_source(report)
 
@@ -214,7 +214,7 @@ def check_threshold_bounds(
         _relation("threshold_gap_nonnegative",
                   0.0, gap, strict=False, entropy=h),
         _relation("threshold_gap_matches_step_sum",
-                  abs(gap - report.threshold_gap_total), 0.0,
+                  abs(gap - report.total("threshold_gap")), 0.0,
                   strict=False, entropy=h,
                   note="telescoped absolute step differences"),
         _relation("threshold_gap_within_entropy_term",
@@ -234,7 +234,7 @@ def check_threshold_bounds(
                   t_mix, e_gen + h + math.sqrt(4.0 * e_gen * h + h * h),
                   strict=True, entropy=h),
     ]))
-    rels.extend(_budget_relations(h, entropy_cap, report.quadratic_total))
+    rels.extend(_budget_relations(h, entropy_cap, report.total("quadratic")))
     return BoundReport(
         kind="threshold",
         horizon=report.horizon,
@@ -292,18 +292,18 @@ def convergence_trend(reports) -> TrendReport:
     for report in reports:
         _require_exact(report)
     require_increasing([r.horizon for r in reports])
-    informed = [r.informed_total for r in reports]
+    informed = [r.total("informed") for r in reports]
     if any(b < a - TOLERANCE for a, b in zip(informed, informed[1:])):
         raise BoundsInputError(
             f"informed totals are not monotone over the sweep: {informed}"
         )
     rows = []
     for report in reports:
-        e_inf = report.informed_total
-        e_mix = report.mixture_total
-        t_inf = report.threshold_informed_total
-        t_mix = report.threshold_mixture_total
-        h = report.entropy_total
+        e_inf = report.total("informed")
+        e_mix = report.total("mixture")
+        t_inf = report.total("threshold_informed")
+        t_mix = report.total("threshold_mixture")
+        h = report.total("entropy")
         notes = []
         if e_inf > 0.0:
             excess = (e_mix / e_inf - 1.0) * math.sqrt(e_inf)

@@ -28,24 +28,20 @@ from .bounds import (
     require_increasing,
 )
 from .dicegame import (
+    CALLERS,
     GAME_MODES,
-    GameMeasure,
+    caller,
     dealer_rule,
     first_profitable_round,
     mean_profit_trace,
     play,
-    rule_mixture,
     run_turnaround_experiment,
 )
 from .inequality_lab import GridError, run_all_scans
 from .measures import BinaryString, MeasureError
 from .numerics import fmt17, write_csv, write_json
 from .predictors import (
-    ConstantPredictor,
-    LaplaceRulePredictor,
-    MeasurePredictor,
     check_exact_horizon,
-    deterministic_wrap,
     exact_expectations,
     monte_carlo_expectations,
 )
@@ -174,41 +170,6 @@ def cmd_inequalities(args) -> int:
     return 0 if all_passed else 1
 
 
-_GAME_PREDICTORS = (
-    "threshold-informed",
-    "informed",
-    "threshold-mixture",
-    "mixture",
-    "always-white",
-    "always-black",
-    "laplace",
-)
-
-
-def _game_predictor(name: str, rule, spec):
-    if name == "informed":
-        return MeasurePredictor(GameMeasure(rule, spec), name="informed")
-    if name == "threshold-informed":
-        return deterministic_wrap(
-            MeasurePredictor(GameMeasure(rule, spec), name="informed")
-        )
-    if name == "mixture":
-        return MeasurePredictor(rule_mixture(spec), name="mixture")
-    if name == "threshold-mixture":
-        return deterministic_wrap(
-            MeasurePredictor(rule_mixture(spec), name="mixture")
-        )
-    if name == "always-white":
-        return ConstantPredictor(1.0, name="always-white")
-    if name == "always-black":
-        return ConstantPredictor(0.0, name="always-black")
-    if name == "laplace":
-        return LaplaceRulePredictor()
-    raise cfg.ConfigError(
-        f"unknown game predictor {name!r}; known: {list(_GAME_PREDICTORS)}"
-    )
-
-
 def cmd_dicegame(args) -> int:
     config = cfg.load_config(args.config)
     section = cfg.read_section(config, "game", (
@@ -227,10 +188,10 @@ def cmd_dicegame(args) -> int:
         args.seed if args.seed is not None
         else cfg.int_field(section, "seed", 0, 0, "game")
     )
-    names = section.get("predictors", list(_GAME_PREDICTORS[:5]))
+    names = section.get("predictors", list(CALLERS)[:5])
     if not isinstance(names, list):
         raise cfg.ConfigError("game.predictors must be a list of names")
-    predictors = [_game_predictor(name, rule, spec) for name in names]
+    predictors = [caller(name, rule, spec) for name in names]
 
     out = _out_dir(args)
     turnaround = run_turnaround_experiment(
@@ -295,9 +256,9 @@ def cmd_simulate(args) -> int:
         write_json(out / f"{stem}.json", report.to_dict())
         report.write_csv(out / f"{stem}.csv")
         print(
-            f"n={h} ({mode}): informed {fmt17(report.informed_total)}, "
-            f"mixture {fmt17(report.mixture_total)}, "
-            f"entropy {fmt17(report.entropy_total)}"
+            f"n={h} ({mode}): informed {fmt17(report.total('informed'))}, "
+            f"mixture {fmt17(report.total('mixture'))}, "
+            f"entropy {fmt17(report.total('entropy'))}"
         )
     return 0
 

@@ -245,7 +245,9 @@ def build_predictor(spec, where: str = "rho") -> Predictor:
             return ConstantPredictor(_real_field(spec, "p", where))
         if kind == "measure":
             return MeasurePredictor(
-                build_measure(_require(spec, "measure", where), where)
+                build_measure(
+                    _require(spec, "measure", where), f"{where}.measure"
+                )
             )
         # kind == "threshold"
         return ThresholdPredictor(

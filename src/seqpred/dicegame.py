@@ -24,14 +24,20 @@ fractional cents and keeps them as floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import numerics
 from .measures import MeasureError, SequenceMeasure
-from .predictors import Predictor, deterministic_wrap
+from .predictors import (
+    ConstantPredictor,
+    LaplaceRulePredictor,
+    MeasurePredictor,
+    Predictor,
+    deterministic_wrap,
+)
 from .universal import MixtureMeasure, WeightedClass
 
 DEFAULT_STAKE_CENTS = 300
@@ -152,9 +158,9 @@ class GameMeasure(SequenceMeasure):
     float from the two dice.
     """
 
-    def __init__(self, rule: DealerRule, spec: GameSpec | None = None):
+    def __init__(self, rule: DealerRule, spec: GameSpec = GameSpec()):
         self.rule = rule
-        self.spec = spec if spec is not None else GameSpec()
+        self.spec = spec
         self.name = f"game({rule.name})"
         white = {die: float(self.spec.white_probability(die)) for die in (1, 2)}
         self._white = tuple(white[die] for die in rule.die)
@@ -169,7 +175,7 @@ class GameMeasure(SequenceMeasure):
         return self.rule.next_state[state][bit]
 
 
-def dealer_class(spec: GameSpec | None = None) -> WeightedClass:
+def dealer_class(spec: GameSpec = GameSpec()) -> WeightedClass:
     """All shipped dealer rules as game measures with index-code weights.
 
     The prior weight of rule number i is 2^-(2 floor(log2 i) + 1), so
@@ -180,18 +186,55 @@ def dealer_class(spec: GameSpec | None = None) -> WeightedClass:
     return WeightedClass.with_index_code_weights(measures)
 
 
-def rule_mixture(spec: GameSpec | None = None) -> MixtureMeasure:
+def rule_mixture(spec: GameSpec = GameSpec()) -> MixtureMeasure:
     """Bayes mixture over the shipped dealer family."""
     return MixtureMeasure(dealer_class(spec), name="dealer-mixture")
 
 
-def profit(n: int, errors, spec: GameSpec | None = None):
+def _informed(rule: DealerRule, spec: GameSpec) -> MeasurePredictor:
+    return MeasurePredictor(GameMeasure(rule, spec), name="informed")
+
+
+def _mixture(rule: DealerRule, spec: GameSpec) -> MeasurePredictor:
+    return MeasurePredictor(rule_mixture(spec), name="mixture")
+
+
+# The callers a game seats, by name: each builds a predictor from the
+# dealer rule and the spec.  The dicegame subcommand seats the first
+# five unless its config names others.
+CALLERS = {
+    "threshold-informed":
+        lambda rule, spec: deterministic_wrap(_informed(rule, spec)),
+    "informed": _informed,
+    "threshold-mixture":
+        lambda rule, spec: deterministic_wrap(_mixture(rule, spec)),
+    "mixture": _mixture,
+    "always-white":
+        lambda rule, spec: ConstantPredictor(1.0, name="always-white"),
+    "always-black":
+        lambda rule, spec: ConstantPredictor(0.0, name="always-black"),
+    "laplace": lambda rule, spec: LaplaceRulePredictor(),
+}
+
+
+def caller(name, rule: DealerRule, spec: GameSpec = GameSpec()) -> Predictor:
+    """The caller named name, for a game against rule.
+
+    Names are compared with ==, so a config entry that is not a string
+    is reported as unknown rather than failing as unhashable.
+    """
+    for known, build in CALLERS.items():
+        if name == known:
+            return build(rule, spec)
+    raise GameError(f"unknown game predictor {name!r}; known: {list(CALLERS)}")
+
+
+def profit(n: int, errors, spec: GameSpec = GameSpec()):
     """Cents won after n rounds with the given (possibly expected) errors.
 
     Affine and strictly decreasing in the error count; exact when given
     int or Fraction errors.
     """
-    spec = spec if spec is not None else GameSpec()
     if n < 0:
         raise GameError(f"round count must be nonnegative, got {n}")
     if not 0 <= errors <= n:
@@ -218,7 +261,7 @@ def turnaround_coefficient(spec: GameSpec, per_round_error):
 
 def turnaround_bound(
     complexity_bits: float,
-    spec: GameSpec | None = None,
+    spec: GameSpec = GameSpec(),
     per_round_error=Fraction(1, 3),
 ) -> float:
     """Rounds after which mean profit of the mixture caller must be positive.
@@ -226,7 +269,6 @@ def turnaround_bound(
     The bound is conservative; empirically the crossing happens much
     earlier for every shipped rule.
     """
-    spec = spec if spec is not None else GameSpec()
     if complexity_bits < 0:
         raise GameError(f"complexity must be nonnegative, got {complexity_bits}")
     coefficient = turnaround_coefficient(spec, per_round_error)
@@ -237,12 +279,6 @@ def turnaround_bound(
 class ProfitTrace:
     """Round-by-round ledger of one simulated game."""
 
-    rule_name: str
-    predictor_name: str
-    mode: str
-    seed: object
-    stake_cents: int
-    payout_cents: int
     outcomes: tuple
     cumulative_profit: tuple
     cumulative_errors: tuple
@@ -311,12 +347,6 @@ def play(
         env_state = env.step(env_state, outcome)
         caller_state = predictor.step(caller_state, outcome)
     return ProfitTrace(
-        rule_name=rule.name,
-        predictor_name=predictor.name,
-        mode=mode,
-        seed=seed,
-        stake_cents=spec.stake_cents,
-        payout_cents=spec.payout_cents,
         outcomes=tuple(outcomes),
         cumulative_profit=tuple(profits),
         cumulative_errors=tuple(errors),
@@ -346,7 +376,7 @@ def first_profitable_round(values) -> int | None:
 class TurnaroundResult:
     """Empirical mixture-caller turnaround against the analytic bound."""
 
-    rule_name: str
+    rule: str
     games: int
     rounds: int
     seed: int
@@ -354,7 +384,7 @@ class TurnaroundResult:
     complexity_bits: float
     bound_rounds: float
     crossing_round: int | None
-    mean_final_profit: float
+    mean_final_profit_cents: float
 
     @property
     def within_bound(self) -> bool:
@@ -363,50 +393,37 @@ class TurnaroundResult:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule_name,
-            "games": self.games,
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "mode": self.mode,
-            "complexity_bits": self.complexity_bits,
-            "bound_rounds": self.bound_rounds,
-            "crossing_round": self.crossing_round,
-            "mean_final_profit_cents": self.mean_final_profit,
-            "within_bound": self.within_bound,
-        }
+        return {**asdict(self), "within_bound": self.within_bound}
 
 
 def run_turnaround_experiment(
     rule: DealerRule,
-    spec: GameSpec | None = None,
+    spec: GameSpec = GameSpec(),
     rounds: int = 400,
     games: int = 100,
     seed: int = 0,
     mode: str = "sampled",
 ) -> TurnaroundResult:
-    """Average the mixture caller over seeded games and find the crossing.
+    """Average the threshold-mixture caller over seeded games and find
+    the crossing.
 
-    The caller thresholds the dealer-family mixture; its exact
-    complexity inside the family prices the analytic bound.  Game g
-    uses the derived seed (seed, g), so results do not depend on
-    scheduling or on how many games run.
+    The rule's exact complexity inside the dealer family prices the
+    analytic bound.  Game g uses the derived seed (seed, g), so results
+    do not depend on scheduling or on how many games run.
     """
-    spec = spec if spec is not None else GameSpec()
-    weighted = dealer_class(spec)
-    caller = deterministic_wrap(MixtureMeasure(weighted, name="dealer-mixture"))
-    bits = weighted.complexity_surrogate(f"game({rule.name})")
+    threshold_mixture = caller("threshold-mixture", rule, spec)
+    bits = dealer_class(spec).complexity_surrogate(f"game({rule.name})")
     informed_error = max(
         min(spec.die1_white, 1 - spec.die1_white),
         min(spec.die2_white, 1 - spec.die2_white),
     )
     traces = [
-        play(spec, rule, caller, rounds, seed=(seed, g), mode=mode)
+        play(spec, rule, threshold_mixture, rounds, seed=(seed, g), mode=mode)
         for g in range(games)
     ]
     mean_trace = mean_profit_trace(traces)
     return TurnaroundResult(
-        rule_name=rule.name,
+        rule=rule.name,
         games=games,
         rounds=rounds,
         seed=seed,
@@ -414,5 +431,5 @@ def run_turnaround_experiment(
         complexity_bits=bits,
         bound_rounds=turnaround_bound(bits, spec, informed_error),
         crossing_round=first_profitable_round(mean_trace),
-        mean_final_profit=float(mean_trace[-1]),
+        mean_final_profit_cents=float(mean_trace[-1]),
     )

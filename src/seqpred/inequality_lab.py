@@ -36,8 +36,6 @@ import numpy as np
 
 from . import numerics
 
-INEQUALITIES = ("distance", "lower", "threshold", "kl_quadratic")
-
 
 class GridError(ValueError):
     """Invalid grid construction or parameter sampling."""

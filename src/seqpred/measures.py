@@ -143,15 +143,13 @@ class SequenceMeasure(StateRule):
         """Draw x_1..x_n by sampling each conditional in turn."""
         if n < 0:
             raise MeasureError(f"path length must be nonnegative, got {n}")
-        rng = np.random.default_rng(seed)
-        uniforms = rng.random(n)
-        cur = self.cursor()
+        uniforms = np.random.default_rng(seed).random(n)
+        state = self.start()
         bits = []
-        for k in range(n):
-            p1 = cur.conditional(1)
-            bit = 1 if uniforms[k] < p1 else 0
+        for u in uniforms:
+            bit = 1 if u < self.p1(state) else 0
             bits.append(bit)
-            cur = cur.advanced(bit)
+            state = self.step(state, bit)
         return BinaryString(tuple(bits))
 
 

@@ -45,13 +45,13 @@ def kl_bernoulli(y: float, z: float) -> float:
     return y * math.log1p(delta / z) + (1.0 - y) * math.log1p(-delta / (1.0 - z))
 
 
-def threshold_step(x: float, tie: int | None = None) -> int:
-    """1 for x > 0, 0 for x < 0, the tie constant at exactly 0."""
+def threshold_step(x: float) -> int:
+    """1 for x > 0, 0 for x < 0, TIE_PREDICTION at exactly 0."""
     if x > 0.0:
         return 1
     if x < 0.0:
         return 0
-    return TIE_PREDICTION if tie is None else tie
+    return TIE_PREDICTION
 
 
 def fmt17(x) -> str:

@@ -235,41 +235,15 @@ class ExpectationReport:
         steps = self.steps(name)
         return None if steps is None else math.fsum(steps)
 
-    @property
-    def informed_total(self) -> float:
-        return self.total("informed")
-
-    @property
-    def mixture_total(self) -> float:
-        return self.total("mixture")
-
-    @property
-    def general_total(self) -> float | None:
-        return self.total("general")
-
-    @property
-    def distance_total(self) -> float:
-        return self.total("distance")
-
-    @property
-    def quadratic_total(self) -> float:
-        return self.total("quadratic")
+    # tests/test_acceptance.py reads these two totals as attributes.
 
     @property
     def entropy_total(self) -> float:
         return self.total("entropy")
 
     @property
-    def threshold_informed_total(self) -> float:
-        return self.total("threshold_informed")
-
-    @property
-    def threshold_mixture_total(self) -> float:
-        return self.total("threshold_mixture")
-
-    @property
-    def threshold_gap_total(self) -> float:
-        return self.total("threshold_gap")
+    def quadratic_total(self) -> float:
+        return self.total("quadratic")
 
     def to_dict(self) -> dict:
         body = {

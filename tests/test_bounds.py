@@ -48,12 +48,12 @@ class TestProbabilisticRelations:
     def test_margin_arithmetic_from_totals(self):
         wc, report = standard_run()
         result = check_probabilistic_bounds(report)
-        e_inf = report.informed_total
-        e_mix = report.mixture_total
-        h = report.entropy_total
+        e_inf = report.total("informed")
+        e_mix = report.total("mixture")
+        h = report.total("entropy")
         gap = relation(result, "gap_within_total_variation")
         assert gap.left == pytest.approx(abs(e_mix - e_inf), rel=1e-12)
-        assert gap.right == pytest.approx(report.distance_total, rel=1e-12)
+        assert gap.right == pytest.approx(report.total("distance"), rel=1e-12)
         tv = relation(result, "total_variation_within_entropy_term")
         assert tv.right == pytest.approx(h + math.sqrt(2 * e_inf * h), rel=1e-12)
         quad = relation(result, "quadratic_within_half_entropy")
@@ -71,8 +71,8 @@ class TestProbabilisticRelations:
         assert "2 * entropy" in skipped.note
         # Not applicable, yet computed: the sides keep their values
         # (with E_inf = 0 the lower side is H itself).
-        assert skipped.left == report.entropy_total > 0.0
-        assert skipped.right == report.mixture_total
+        assert skipped.left == report.total("entropy") > 0.0
+        assert skipped.right == report.total("mixture")
         assert result.passed
 
     def test_general_relations_present_with_rho(self):
@@ -123,7 +123,7 @@ class TestProbabilisticRelations:
 
     def test_budget_violation_detected(self):
         _, report = standard_run()
-        tiny_cap = report.entropy_total / 2
+        tiny_cap = report.total("entropy") / 2
         result = check_probabilistic_bounds(report, entropy_cap=tiny_cap)
         assert not result.passed
         assert "entropy_within_budget" in result.failures
@@ -170,12 +170,12 @@ class TestThresholdRelations:
         gap = relation(result, "threshold_gap_nonnegative")
         assert gap.left == 0.0
         assert gap.right == pytest.approx(
-            report.threshold_mixture_total - report.threshold_informed_total,
+            report.total("threshold_mixture") - report.total("threshold_informed"),
             rel=1e-9,
         )
         envelope = relation(result, "threshold_gap_within_entropy_term")
-        h = report.entropy_total
-        t_inf = report.threshold_informed_total
+        h = report.total("entropy")
+        t_inf = report.total("threshold_informed")
         assert envelope.right == pytest.approx(
             h + math.sqrt(4 * t_inf * h + h * h), rel=1e-12
         )

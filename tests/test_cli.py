@@ -515,6 +515,15 @@ class TestMalformedFields:
         assert printed.out == ""
         assert not out.exists()
 
+    def test_nested_measure_error_names_its_path(self, tmp_path, capsys):
+        config = write_config(tmp_path, two_bernoulli_config(rho={
+            "type": "measure",
+            "measure": {"type": "bernoulli", "theta": "x"},
+        }))
+        code = run(["simulate", "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert "rho.measure.theta must be a number" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     """Usage mistakes exit 2 through argparse before any work runs."""

@@ -1,9 +1,11 @@
 import csv
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+import seqpred.cli as cli
 from seqpred.measures import BinaryString
 from seqpred.predictors import (
     ConstantPredictor,
@@ -13,10 +15,12 @@ from seqpred.predictors import (
     exact_expectations,
 )
 from seqpred.dicegame import (
+    CALLERS,
     DEALER_RULES,
     GameError,
     GameMeasure,
     GameSpec,
+    caller,
     dealer_class,
     dealer_rule,
     first_profitable_round,
@@ -301,6 +305,40 @@ class TestPlay:
             )
 
 
+class TestCallers:
+    def test_roster(self):
+        assert list(CALLERS) == [
+            "threshold-informed", "informed", "threshold-mixture", "mixture",
+            "always-white", "always-black", "laplace",
+        ]
+        rule = dealer_rule("constant-die2")
+        for name in CALLERS:
+            predictor = caller(name, rule)
+            assert 0.0 <= predictor.p1(predictor.start()) <= 1.0
+
+    def test_unknown_name_lists_the_known(self):
+        with pytest.raises(GameError) as raised:
+            caller("psychic", dealer_rule("parity3"), GameSpec())
+        assert str(raised.value) == (
+            f"unknown game predictor 'psychic'; known: {list(CALLERS)}"
+        )
+        with pytest.raises(GameError, match="unknown game predictor"):
+            caller(["informed"], dealer_rule("parity3"))
+
+    def test_cli_default_roster(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"game": {"rule": "alternate-12", "rounds": 5, "games": 2}}
+        ))
+        out = tmp_path / "out"
+        assert cli.main(
+            ["dicegame", "--config", str(config), "--out", str(out)]
+        ) == 0
+        summary = json.loads((out / "dicegame-summary.json").read_text())
+        names = [p["name"] for p in summary["predictors"]]
+        assert names == list(CALLERS)[:5]
+
+
 class TestTraceHelpers:
     def test_mean_profit_trace(self):
         spec = GameSpec()
@@ -348,7 +386,7 @@ class TestTurnaroundExperiment:
         )
         assert result.crossing_round is not None
         assert result.within_bound
-        assert result.mean_final_profit > 0
+        assert result.mean_final_profit_cents > 0
 
     def test_report_dictionary(self):
         result = run_turnaround_experiment(
@@ -361,3 +399,11 @@ class TestTurnaroundExperiment:
             turnaround_bound(result.complexity_bits)
         )
         assert payload["within_bound"] == result.within_bound
+        assert sorted(payload) == [
+            "bound_rounds", "complexity_bits", "crossing_round", "games",
+            "mean_final_profit_cents", "mode", "rounds", "rule", "seed",
+            "within_bound",
+        ]
+        assert payload["mean_final_profit_cents"] == (
+            result.mean_final_profit_cents
+        )

@@ -59,7 +59,6 @@ def test_threshold_step_sign_cases():
     assert numerics.threshold_step(0.2) == 1
     assert numerics.threshold_step(-0.2) == 0
     assert numerics.threshold_step(0.0) == numerics.TIE_PREDICTION
-    assert numerics.threshold_step(0.0, tie=1) == 1
 
 
 def test_tie_prediction_is_zero():

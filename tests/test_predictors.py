@@ -180,10 +180,10 @@ class TestExactExpectations:
         mu = BernoulliMeasure(0.3)
         xi = MixtureMeasure(WeightedClass([(mu, 0.5)]))
         report = exact_expectations(mu, xi, 8)
-        assert report.distance_total == pytest.approx(0.0, abs=1e-14)
-        assert report.entropy_total == pytest.approx(0.0, abs=1e-14)
-        assert report.mixture_total == pytest.approx(
-            report.informed_total, rel=1e-12
+        assert report.total("distance") == pytest.approx(0.0, abs=1e-14)
+        assert report.total("entropy") == pytest.approx(0.0, abs=1e-14)
+        assert report.total("mixture") == pytest.approx(
+            report.total("informed"), rel=1e-12
         )
 
     def test_per_step_bernoulli_closed_form(self):
@@ -197,7 +197,7 @@ class TestExactExpectations:
         mu, xi = two_bernoulli_setup()
         report = exact_expectations(mu, xi, 8)
         assert report.telescoped_entropy == pytest.approx(
-            report.entropy_total, abs=1e-9
+            report.total("entropy"), abs=1e-9
         )
 
     def test_horizon_validation(self):
@@ -212,10 +212,10 @@ class TestExactExpectations:
         wc = WeightedClass.with_index_code_weights([mu, BernoulliMeasure(0.5)])
         xi = MixtureMeasure(wc)
         report = exact_expectations(mu, xi, 12)
-        assert report.informed_total == 0.0
+        assert report.total("informed") == 0.0
         # The mixture learns the pattern, so its error mass is finite
         # and bounded by the entropy budget.
-        assert report.mixture_total <= report.entropy_total + 1e-12
+        assert report.total("mixture") <= report.total("entropy") + 1e-12
 
     def test_truncated_consistency(self):
         # A step's expectation does not depend on the horizon.
@@ -235,7 +235,7 @@ class TestExactExpectations:
         report.write_csv(c)
         payload = json.loads(j.read_text())
         assert payload["schema"] == "expectation-report/1"
-        assert payload["totals"]["informed"] == report.informed_total
+        assert payload["totals"]["informed"] == report.total("informed")
         lines = c.read_text().strip().splitlines()
         assert len(lines) == 6
         assert lines[0].startswith("step,informed,mixture,general")
@@ -261,7 +261,7 @@ class TestMonteCarlo:
         mu, xi = two_bernoulli_setup()
         mc = monte_carlo_expectations(mu, xi, 4, samples=100, seed=3)
         assert mc.std_errors["informed"] == pytest.approx(0.0, abs=1e-15)
-        assert mc.informed_total == pytest.approx(4 * 2 * 0.3 * 0.7, rel=1e-12)
+        assert mc.total("informed") == pytest.approx(4 * 2 * 0.3 * 0.7, rel=1e-12)
 
     # Expected totals over 200 steps for the Bernoulli(0.2) source and an
     # index-code mixture of Bernoulli 0.2, 0.5 and 0.8 (weights 1/2, 1/8,
@@ -333,7 +333,7 @@ class TestReportLayout:
         assert without.per_step == rest
         assert tuple(without.per_step) == tuple(rest)
         assert without.steps("general") is None
-        assert without.general_total is None
+        assert without.total("general") is None
         if mode == "monte-carlo":
             assert tuple(with_rho.std_errors) == self.ALL
             assert without.std_errors.keys() == rest.keys()
