@@ -271,12 +271,6 @@ class TrendReport:
                 "passed": self.passed}
 
 
-def require_increasing(horizons) -> None:
-    """A horizon sweep must be strictly increasing."""
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise BoundsInputError(f"horizons must increase, got {horizons}")
-
-
 def convergence_trend(reports) -> TrendReport:
     """Envelope check for the excess-error ratios over a horizon sweep.
 
@@ -291,7 +285,9 @@ def convergence_trend(reports) -> TrendReport:
         raise BoundsInputError("need at least one report for a trend")
     for report in reports:
         _require_exact(report)
-    require_increasing([r.horizon for r in reports])
+    horizons = [r.horizon for r in reports]
+    if any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise BoundsInputError(f"horizons must increase, got {horizons}")
     informed = [r.total("informed") for r in reports]
     if any(b < a - TOLERANCE for a, b in zip(informed, informed[1:])):
         raise BoundsInputError(

@@ -9,8 +9,10 @@ approximate-m enumerates machine programs into a semimeasure table.
 
 Exit codes: 0 on success, 1 when a checked bound or admissible-region
 scan fails or stdout is closed before the run ends (``| head``), 2 for
-configuration or usage errors.  Outputs are deterministic functions of
-the config and seeds.
+configuration or usage errors.  Each subcommand reads its config,
+computes, then writes: nothing is printed and ``--out`` is not made
+until all of its work is done, so a config error leaves no output.
+Outputs are deterministic functions of the config and seeds.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .bounds import (
     check_probabilistic_bounds,
     check_threshold_bounds,
     convergence_trend,
-    require_increasing,
 )
 from .dicegame import (
     CALLERS,
@@ -40,11 +41,7 @@ from .dicegame import (
 from .inequality_lab import GridError, run_all_scans
 from .measures import BinaryString, MeasureError
 from .numerics import fmt17, write_csv, write_json
-from .predictors import (
-    check_exact_horizon,
-    exact_expectations,
-    monte_carlo_expectations,
-)
+from .predictors import exact_expectations, monte_carlo_expectations
 from .semimeasure import (
     EchoMachine,
     RegisterMachine,
@@ -81,11 +78,6 @@ def _out_dir(args) -> Path:
     return args.out
 
 
-def _exact_horizons(config) -> list[int]:
-    """The config's horizons, each within the exact enumeration cap."""
-    return [check_exact_horizon(h) for h in cfg.resolve_horizons(config)]
-
-
 def cmd_verify_bounds(args) -> int:
     config = cfg.load_config(args.config)
     mode, _samples, _seed = cfg.resolve_mode(config)
@@ -96,30 +88,28 @@ def cmd_verify_bounds(args) -> int:
         )
     weighted, xi, mu = cfg.mixture_from_config(config)
     rho = cfg.build_predictor(config["rho"]) if "rho" in config else None
-    horizons = _exact_horizons(config)
-    require_increasing(horizons)
+    horizons = cfg.resolve_horizons(config)
     member_names = [m.name for m, _ in weighted.components]
     cap = (
         weighted.entropy_budget_nats(mu.name)
         if mu.name in member_names
         else None
     )
+    reports = [exact_expectations(mu, xi, h, rho=rho) for h in horizons]
+    checks = [
+        (r.horizon, check_probabilistic_bounds(r, entropy_cap=cap),
+         check_threshold_bounds(r, entropy_cap=cap))
+        for r in reports
+    ]
+    trend = convergence_trend(reports)
+    all_passed = trend.passed and all(
+        p.passed and t.passed for _h, p, t in checks
+    )
 
     out = _out_dir(args)
-    reports = []
-    checks = []
-    all_passed = True
-    for h in horizons:
-        report = exact_expectations(mu, xi, h, rho=rho)
-        reports.append(report)
-        probabilistic = check_probabilistic_bounds(report, entropy_cap=cap)
-        threshold = check_threshold_bounds(report, entropy_cap=cap)
-        checks.append((h, probabilistic, threshold))
-        all_passed = all_passed and probabilistic.passed and threshold.passed
+    for _h, probabilistic, threshold in checks:
         print(probabilistic.format_table())
         print(threshold.format_table())
-    trend = convergence_trend(reports)
-    all_passed = all_passed and trend.passed
     write_json(out / "verify-bounds.json", {
         "schema": "verify-bounds/1",
         "true_measure": mu.name,
@@ -192,11 +182,30 @@ def cmd_dicegame(args) -> int:
     if not isinstance(names, list):
         raise cfg.ConfigError("game.predictors must be a list of names")
     predictors = [caller(name, rule, spec) for name in names]
-
-    out = _out_dir(args)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise cfg.ConfigError(
+                f"game.predictors names {name!r} more than once"
+            )
     turnaround = run_turnaround_experiment(
         rule, spec, rounds=rounds, games=games, seed=seed, mode=mode,
     )
+    first_traces = []
+    results = []
+    for i, (name, predictor) in enumerate(zip(names, predictors)):
+        traces = [
+            play(spec, rule, predictor, rounds, seed=(seed, i, g), mode=mode)
+            for g in range(games)
+        ]
+        mean_trace = mean_profit_trace(traces)
+        first_traces.append(traces[0])
+        results.append({
+            "name": name,
+            "mean_profit_per_round_cents": float(mean_trace[-1]) / rounds,
+            "crossing_round": first_profitable_round(mean_trace),
+        })
+
+    out = _out_dir(args)
     summary = {
         "schema": "dicegame-summary/1",
         "rule": rule.name,
@@ -207,7 +216,7 @@ def cmd_dicegame(args) -> int:
         "seed": seed,
         "mode": mode,
         "turnaround": turnaround.to_dict(),
-        "predictors": [],
+        "predictors": results,
     }
     print(
         f"rule {rule.name}: complexity {turnaround.complexity_bits:.3f} bits, "
@@ -215,20 +224,12 @@ def cmd_dicegame(args) -> int:
         f"empirical crossing "
         f"{turnaround.crossing_round if turnaround.crossing_round else 'none'}"
     )
-    for i, (name, predictor) in enumerate(zip(names, predictors)):
-        traces = [
-            play(spec, rule, predictor, rounds, seed=(seed, i, g), mode=mode)
-            for g in range(games)
-        ]
-        mean_trace = mean_profit_trace(traces)
-        per_round = float(mean_trace[-1]) / rounds
-        traces[0].write_csv(out / f"trace-{name}.csv")
-        summary["predictors"].append({
-            "name": name,
-            "mean_profit_per_round_cents": per_round,
-            "crossing_round": first_profitable_round(mean_trace),
-        })
-        print(f"{name}: mean profit/round {per_round:.2f} cents")
+    for result, trace in zip(results, first_traces):
+        trace.write_csv(out / f"trace-{result['name']}.csv")
+        print(
+            f"{result['name']}: mean profit/round "
+            f"{result['mean_profit_per_round_cents']:.2f} cents"
+        )
     write_json(out / "dicegame-summary.json", summary)
     return 0
 
@@ -240,18 +241,17 @@ def cmd_simulate(args) -> int:
         seed = args.seed
     _weighted, xi, mu = cfg.mixture_from_config(config)
     rho = cfg.build_predictor(config["rho"]) if "rho" in config else None
-    horizons = (
-        _exact_horizons(config) if mode == "exact"
-        else cfg.resolve_horizons(config)
-    )
+    reports = [
+        exact_expectations(mu, xi, h, rho=rho) if mode == "exact"
+        else monte_carlo_expectations(
+            mu, xi, h, samples=samples, seed=seed, rho=rho,
+        )
+        for h in cfg.resolve_horizons(config)
+    ]
+
     out = _out_dir(args)
-    for h in horizons:
-        if mode == "exact":
-            report = exact_expectations(mu, xi, h, rho=rho)
-        else:
-            report = monte_carlo_expectations(
-                mu, xi, h, samples=samples, seed=seed, rho=rho,
-            )
+    for report in reports:
+        h = report.horizon
         stem = f"expectations-{mode}-n{h}"
         write_json(out / f"{stem}.json", report.to_dict())
         report.write_csv(out / f"{stem}.csv")
@@ -281,25 +281,25 @@ def cmd_approximate_m(args) -> int:
     fuel = cfg.int_field(section, "fuel", 64, 1, "semimeasure")
     depth = cfg.int_field(section, "depth", 6, 1, "semimeasure")
     table = approximate_mass(machine, cap=cap, fuel=fuel, depth=depth)
+    # A context has continuation mass exactly when it is the parent of a
+    # priced string.
+    contexts = sorted(
+        {bits[:-1] for bits in table.units if bits},
+        key=lambda bits: (len(bits), bits),
+    )
+    rows = []
+    for bits in contexts:
+        p0 = normalize(table, BinaryString(bits), 0)
+        rows.append(("".join(map(str, bits)), p0, 1.0 - p0))
+
     out = _out_dir(args)
     write_json(out / "semimeasure-table.json", table.to_dict())
-    rows = []
-    for length in range(depth):
-        for i in range(2**length):
-            bits = format(i, f"0{length}b") if length else ""
-            s = BinaryString.parse(bits)
-            try:
-                p0 = normalize(table, s, 0)
-            except SemimeasureError:
-                continue
-            rows.append((bits, p0, 1.0 - p0))
     write_csv(
         out / "semimeasure-conditionals.csv", ["context", "p0", "p1"], rows,
     )
-    empty = BinaryString.empty()
     print(
         f"{machine_name} machine, cap {cap}, fuel {fuel}, depth {depth}: "
-        f"mass(empty) = {fmt17(table.mass(empty))}, "
+        f"mass(empty) = {fmt17(table.mass(BinaryString.empty()))}, "
         f"{len(table.units)} strings priced"
     )
     return 0

@@ -350,6 +350,11 @@ def build_game_spec(section) -> GameSpec:
         raise ConfigError("game.spec must be an object")
     _check_keys(section, [f.name for f in fields(GameSpec)], "game.spec")
     kwargs = dict(section)
+    for key in ("stake_cents", "payout_cents"):
+        if key in kwargs and not _is_int(kwargs[key]):
+            raise ConfigError(
+                f"game.spec.{key} must be an integer, got {kwargs[key]!r}"
+            )
     try:
         for key in ("die1_white", "die2_white"):
             if key in kwargs:

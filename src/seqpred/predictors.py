@@ -40,16 +40,6 @@ class PredictionError(MeasureError):
     """Invalid prediction request or report operation."""
 
 
-def check_exact_horizon(n: int) -> int:
-    """n, once it is known to be within the exact enumeration cap."""
-    if n > EXACT_HORIZON_CAP:
-        raise PredictionError(
-            f"horizon {n} exceeds the exact enumeration cap "
-            f"{EXACT_HORIZON_CAP}"
-        )
-    return n
-
-
 _STEP_FIELDS = (
     "informed",
     "mixture",
@@ -328,7 +318,11 @@ def exact_expectations(
     telescoped form) and insists the two routes agree to 1e-9.
     """
     rho = _walked(rho, n)
-    check_exact_horizon(n)
+    if n > EXACT_HORIZON_CAP:
+        raise PredictionError(
+            f"horizon {n} exceeds the exact enumeration cap "
+            f"{EXACT_HORIZON_CAP}"
+        )
     steps = [[0.0] * n for _ in _STEP_FIELDS]
     leaf_terms = []
     path = []

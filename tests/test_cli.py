@@ -339,6 +339,7 @@ class TestDicegame:
         {"seed": 1.5},
         {"predictors": 5},
         {"bogus_key": 1},
+        {"predictors": ["laplace", "laplace"]},
     ])
     def test_malformed_game_section_is_config_error(self, tmp_path, capsys,
                                                     field):
@@ -405,9 +406,24 @@ def with_class_weights(weights):
     return payload
 
 
+# "program:4" outputs a single bit, so both engines fail at the second
+# step, after the first horizon's work is done.
+SHORT_PROGRAM = dict(
+    with_component({"type": "deterministic", "generator": "program:4"}),
+    horizons=[1, 6],
+)
+# A Bernoulli(0.5) truth leaves a class holding only "ones" at zero
+# mass on its first 0.
+ONES_ONLY = two_bernoulli_config(**{
+    "class": {"components": [{"type": "deterministic", "generator": "ones"}]},
+    "true_measure": {"type": "bernoulli", "theta": 0.5},
+})
+
+
 class TestMalformedFields:
     """Fields that ended in a traceback, were ignored, or were checked
-    only after some output, before checking.
+    only after some output, before checking, and configs that an engine
+    rejects only part-way through its work.
 
     Each must exit 2 with a config error before anything is printed or
     any artifact is written.
@@ -458,6 +474,10 @@ class TestMalformedFields:
             GAME["game"], spec={"die2_white": float("inf")})}, []),
         "game-mode-unknown": ("dicegame", {"game": dict(
             GAME["game"], mode="bogus")}, []),
+        "game-stake-bool": ("dicegame", {"game": dict(
+            GAME["game"], spec={"stake_cents": True})}, []),
+        "game-payout-bool": ("dicegame", {"game": dict(
+            GAME["game"], spec={"stake_cents": 0, "payout_cents": True})}, []),
         "bernoulli-unknown-key": ("simulate", with_component(
             {"type": "bernoulli", "theta": 0.7, "thta": 0.9}), []),
         "markov-unknown-key":
@@ -480,6 +500,11 @@ class TestMalformedFields:
             ("verify-bounds", two_bernoulli_config(horizons=[2, 2]), []),
         "simulate-exact-horizon-beyond-cap":
             ("simulate", two_bernoulli_config(horizons=[4, 20]), []),
+        "verify-short-program": ("verify-bounds", SHORT_PROGRAM, []),
+        "simulate-exact-short-program": ("simulate", SHORT_PROGRAM, []),
+        "simulate-monte-carlo-short-program": ("simulate", dict(
+            SHORT_PROGRAM, mode="monte-carlo", samples=300, seed=1), []),
+        "verify-null-event": ("verify-bounds", ONES_ONLY, []),
         "dicegame-unknown-predictor-after-known": ("dicegame", {"game": dict(
             GAME["game"], predictors=["informed", "bogus"])}, []),
         "measure-name-list": ("simulate", with_component(
@@ -611,6 +636,40 @@ class TestApproximateM:
             _ctx, p0, p1 = line.split(",")
             assert float(p0) + float(p1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("machine, cap, fuel, depth", [
+        ("echo", 6, 3, 3),
+        ("echo", 8, 64, 9),
+        ("register", 9, 32, 4),
+        ("register", 10, 8, 6),
+    ])
+    def test_conditionals_cover_every_context_with_mass(
+            self, tmp_path, machine, cap, fuel, depth):
+        config = write_config(tmp_path, {"semimeasure": {
+            "machine": machine, "cap": cap, "fuel": fuel, "depth": depth,
+        }})
+        out = tmp_path / "out"
+        assert run([
+            "approximate-m", "--config", config, "--out", str(out),
+        ]) == 0
+        units = json.loads(
+            (out / "semimeasure-table.json").read_text()
+        )["units"]
+        expected = []
+        for length in range(depth):
+            for i in range(2**length):
+                context = format(i, f"0{length}b") if length else ""
+                zero = units.get(context + "0", 0)
+                one = units.get(context + "1", 0)
+                if zero + one:
+                    p0 = zero / (zero + one)
+                    expected.append([context, p0, 1.0 - p0])
+        with open(out / "semimeasure-conditionals.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["context", "p0", "p1"]
+        assert [[c, float(p0), float(p1)] for c, p0, p1 in rows[1:]] == (
+            expected
+        )
+
     def test_unknown_machine(self, tmp_path, capsys):
         config = write_config(tmp_path, {
             "semimeasure": {"machine": "turing"},
@@ -723,8 +782,8 @@ class TestArtifactFormat:
 
 class TestClosedStdout:
     def test_verify_bounds_into_a_closed_pipe(self, tmp_path):
-        # The reader takes one line and closes the pipe while later
-        # horizons are still being printed, as `| head -1` does.
+        # The reader takes one line and closes the pipe, as `| head -1`
+        # does; printing starts once every horizon has been computed.
         config = write_config(
             tmp_path, two_bernoulli_config(horizons=list(range(1, 14))),
         )
