@@ -64,8 +64,9 @@ class GameSpec:
     die2_white: Fraction = Fraction(2, 3)
 
     def __post_init__(self):
-        if not isinstance(self.stake_cents, int) or not isinstance(
-            self.payout_cents, int
+        if any(
+            not isinstance(cents, int) or isinstance(cents, bool)
+            for cents in (self.stake_cents, self.payout_cents)
         ):
             raise GameError("stake and payout must be integer cents")
         if not 0 <= self.stake_cents < self.payout_cents:
@@ -286,10 +287,6 @@ class ProfitTrace:
     @property
     def rounds(self) -> int:
         return len(self.outcomes)
-
-    @property
-    def final_profit(self):
-        return self.cumulative_profit[-1] if self.outcomes else 0
 
     def write_csv(self, path) -> None:
         numerics.write_csv(

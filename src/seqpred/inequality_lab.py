@@ -130,39 +130,6 @@ def lower_bound_edge_quadratic(z: float, a: float, b: float) -> float:
     return 2.0 * a * (z - b) * (1.0 - z - b) - (b - 1.0) * (2.0 * z - 1.0) ** 2
 
 
-def distance_margin(y, z, a, b):
-    """Scalar margin of the distance inequality at one point."""
-    return (
-        2.0 * a * y * (1.0 - y)
-        + b * numerics.kl_bernoulli(y, z)
-        - abs(y - z)
-    )
-
-
-def lower_margin(y, z, a, b):
-    """Scalar margin of the lower-bound inequality at one point."""
-    return (
-        (a - 1.0) * 2.0 * y * (1.0 - y)
-        + (b - 1.0) * numerics.kl_bernoulli(y, z)
-        + y * (1.0 - z)
-        + z * (1.0 - y)
-    )
-
-
-def threshold_margin(y, z, a, b):
-    """Scalar margin of the threshold inequality at one point."""
-    return (
-        (a + 1.0) * min(y, 1.0 - y)
-        + (b + 1.0) * numerics.kl_bernoulli(y, z)
-        - abs(y - numerics.threshold_step(z - 0.5))
-    )
-
-
-def kl_quadratic_margin(y, z):
-    """Scalar margin of the KL quadratic lower bound at one point."""
-    return numerics.kl_bernoulli(y, z) - 2.0 * (y - z) ** 2
-
-
 @dataclass(frozen=True)
 class ScanRow:
     """Minimum margin of one (A, B) sample over the whole mesh."""
@@ -265,7 +232,8 @@ _BLOCK_ROWS = 32
 
 
 class _Mesh:
-    """The (y, z) grid, KL(y||z) and the y-only column terms of a run.
+    """The (y, z) grid, KL(y||z), the y-only column terms and the called
+    bit of each z, for a run.
 
     Built once and shared by every scan.  Side terms that depend on both
     y and z are computed per row block instead of stored.
@@ -280,6 +248,11 @@ class _Mesh:
             self.kl[start:stop] = kl_mesh(self.y[start:stop], self.z)
         self.informed = (2.0 * self.y * (1.0 - self.y))[:, None]
         self.half = np.minimum(self.y, 1.0 - self.y)[:, None]
+        # The bit a threshold predictor calls at each z: z - 0.5 is exact
+        # for z >= 0.25 and below -0.25 otherwise, so its sign is z's side.
+        self.called = np.array(
+            [numerics.threshold_step(x) for x in self.z - 0.5], dtype=float
+        )
 
 
 def _merge_minima(partials):
@@ -424,11 +397,10 @@ def check_threshold_bound(
     """Scan (A+1) min(y,1-y) + (B+1) KL - |y - step(z-1/2)| > 0."""
     if pairs is None:
         pairs = sample_threshold_params(spec.param_samples, spec.param_seed)
-    calls_one = np.greater if numerics.TIE_PREDICTION == 0 else np.greater_equal
     return _pair_report(
         "threshold", spec, pairs, mode, threads, _mesh, admissible_threshold,
         terms=lambda mesh, a, b: ((a + 1.0) * mesh.half, b + 1.0),
-        side=lambda mesh, y: np.abs(y - calls_one(mesh.z, 0.5).astype(float)),
+        side=lambda mesh, y: np.abs(y - mesh.called),
         combine=np.subtract,
     )
 

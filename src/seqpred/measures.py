@@ -16,8 +16,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import numpy as np
-
 NULL_EVENT_MESSAGE = "conditioning on null event"
 
 
@@ -82,7 +80,9 @@ class StateRule(ABC):
     """The interface of measures and predictors: a rule read bit by bit.
 
     start() is the state at the empty context, p1(state) is P(next bit
-    = 1) in a state and step(state, bit) the state after one more bit.
+    = 1) in a state and step(state, bit) the state after one more bit;
+    the context route, conditional(context, bit), is derived here for
+    measures and predictors alike.
     """
 
     @abstractmethod
@@ -104,20 +104,20 @@ class StateRule(ABC):
             state = self.step(state, bit)
         return state
 
+    def conditional(self, context: BinaryString, bit: int) -> float:
+        """P(bit | context), by replaying the state rule."""
+        p1 = self.p1(self.state_after(context))
+        return p1 if bit == 1 else 1.0 - p1
+
 
 class SequenceMeasure(StateRule):
     """A probability measure on one-way infinite binary sequences.
 
-    Families define the state rule; every route that takes a context is
+    Families define the state rule; the chained prefix probability is
     derived from it here.
     """
 
     name: str = "measure"
-
-    def conditional(self, context: BinaryString, bit: int) -> float:
-        """rho(bit | context), by replaying the state rule."""
-        p1 = self.p1(self.state_after(context))
-        return p1 if bit == 1 else 1.0 - p1
 
     def log_prefix_probability(self, s: BinaryString) -> float:
         """ln rho(s) as the chain of conditionals; -inf encodes zero."""
@@ -138,19 +138,6 @@ class SequenceMeasure(StateRule):
     def cursor(self) -> "MeasureCursor":
         """Stateful reader positioned at the empty context."""
         return MeasureCursor(self, self.start())
-
-    def sample_path(self, n: int, seed: int) -> BinaryString:
-        """Draw x_1..x_n by sampling each conditional in turn."""
-        if n < 0:
-            raise MeasureError(f"path length must be nonnegative, got {n}")
-        uniforms = np.random.default_rng(seed).random(n)
-        state = self.start()
-        bits = []
-        for u in uniforms:
-            bit = 1 if u < self.p1(state) else 0
-            bits.append(bit)
-            state = self.step(state, bit)
-        return BinaryString(tuple(bits))
 
 
 class MeasureCursor:
@@ -235,12 +222,7 @@ class MarkovMeasure(SequenceMeasure):
                     f"got {key!r}: {value}"
                 )
             normalized[key] = float(value)
-        required = [
-            format(i, f"0{width}b") if width else ""
-            for width in range(order + 1)
-            for i in range(2**width)
-        ]
-        missing = [key for key in required if key not in normalized]
+        missing = [key for key in _patterns(order) if key not in normalized]
         if missing:
             raise MeasureError(f"Markov table is missing patterns: {missing}")
         self._p1 = {
@@ -262,12 +244,18 @@ class MarkovMeasure(SequenceMeasure):
     @classmethod
     def random(cls, order: int, rng, low: float = 0.1, high: float = 0.9,
                name: str | None = None) -> "MarkovMeasure":
-        table = {}
-        for width in range(order + 1):
-            for i in range(2**width):
-                key = format(i, f"0{width}b") if width else ""
-                table[key] = float(rng.uniform(low, high))
+        table = {key: float(rng.uniform(low, high)) for key in _patterns(order)}
         return cls(order, table, name=name)
+
+
+def _patterns(order: int) -> list[str]:
+    """Every bit pattern of length <= order, shortest first, each length
+    in counting order: the keys of a Markov table."""
+    return [
+        format(i, f"0{width}b") if width else ""
+        for width in range(order + 1)
+        for i in range(2**width)
+    ]
 
 
 class DeterministicMeasure(SequenceMeasure):

@@ -79,14 +79,11 @@ def step_terms(y: float, z: float, r: float | None = None, weight: float = 1.0):
 class Predictor(StateRule):
     """Assigns a probability to the next bit being 1 given the context.
 
-    Predictors are state rules like measures; the context route replays
-    the rule.
+    Predictors are state rules like measures, so StateRule's
+    conditional(context, bit) is their context route too.
     """
 
     name: str = "predictor"
-
-    def probability_of_one(self, context: BinaryString) -> float:
-        return self.p1(self.state_after(context))
 
     def cursor(self) -> "PredictorCursor":
         return PredictorCursor(self, self.start())

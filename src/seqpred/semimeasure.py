@@ -17,7 +17,6 @@ shows the enumeration route on machines small enough to inspect.
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -210,25 +209,6 @@ class SemimeasureTable:
 
     def to_json(self) -> str:
         return json_text(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "SemimeasureTable":
-        payload = json.loads(text)
-        if payload.get("schema") != "semimeasure-table/1":
-            raise SemimeasureError(
-                f"unrecognized table schema: {payload.get('schema')!r}"
-            )
-        units = {
-            tuple(int(c) for c in key): int(count)
-            for key, count in payload["units"].items()
-        }
-        return cls(
-            machine_name=payload["machine"],
-            cap=int(payload["cap"]),
-            fuel=int(payload["fuel"]),
-            depth=int(payload["depth"]),
-            units=units,
-        )
 
 
 def approximate_mass(

@@ -53,6 +53,10 @@ class TestGameSpec:
             GameSpec(stake_cents=-1)
         with pytest.raises(GameError, match="integer cents"):
             GameSpec(stake_cents=3.0)
+        with pytest.raises(GameError, match="integer cents"):
+            GameSpec(stake_cents=True)
+        with pytest.raises(GameError, match="integer cents"):
+            GameSpec(stake_cents=0, payout_cents=True)
         with pytest.raises(GameError, match="not in"):
             GameSpec(die1_white=Fraction(0))
         with pytest.raises(GameError, match="die must be"):
@@ -269,7 +273,7 @@ class TestPlay:
         )
         assert trace.rounds == 30
         wins = trace.rounds - trace.cumulative_errors[-1]
-        assert trace.final_profit == wins * 500 - 30 * 300
+        assert trace.cumulative_profit[-1] == wins * 500 - 30 * 300
         assert all(isinstance(e, int) for e in trace.cumulative_errors)
 
     def test_expected_mode_tracks_call_probabilities(self):
@@ -375,7 +379,7 @@ class TestTraceHelpers:
         ]
         assert len(rows) == 7
         assert int(rows[3][0]) == 3
-        assert int(rows[6][1]) == trace.final_profit
+        assert int(rows[6][1]) == trace.cumulative_profit[-1]
 
 
 class TestTurnaroundExperiment:

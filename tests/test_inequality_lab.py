@@ -21,18 +21,14 @@ from seqpred.inequality_lab import (
     check_kl_quadratic_bound,
     check_lower_bound,
     check_threshold_bound,
-    distance_margin,
     kl_mesh,
-    kl_quadratic_margin,
     lower_bound_edge_quadratic,
-    lower_margin,
     required_b_distance,
     required_b_threshold,
     run_all_scans,
     sample_distance_params,
     sample_lower_params,
     sample_threshold_params,
-    threshold_margin,
 )
 
 SMALL = GridSpec(y_count=400, z_count=400, refine_per_side=16, param_samples=12)
@@ -71,31 +67,6 @@ class TestGridSpec:
         lo_edge = [v for v in lo.z_values() if v < 1e-3]
         hi_edge = [v for v in hi.z_values() if v < 1e-3]
         assert set(np.round(lo_edge, 12)) <= set(np.round(hi_edge, 12))
-
-
-class TestPointMargins:
-    def test_distance_margin_on_diagonal(self):
-        # With y = z the KL and |y - z| terms vanish.
-        for y in (0.1, 0.3, 0.5, 0.9):
-            assert distance_margin(y, y, 1.0, 1.5) == pytest.approx(
-                2 * y * (1 - y), rel=1e-12
-            )
-
-    def test_lower_margin_center_value(self):
-        assert lower_margin(0.5, 0.5, 0.5, 2.0) == pytest.approx(0.25)
-
-    def test_threshold_margin_diagonal(self):
-        # Below 1/2 the step call is 0 and the margin collapses to A y.
-        for y in (0.05, 0.2, 0.45):
-            assert threshold_margin(y, y, 2.0, 1.0) == pytest.approx(2 * y)
-        for y in (0.55, 0.8):
-            assert threshold_margin(y, y, 2.0, 1.0) == pytest.approx(2 * (1 - y))
-
-    def test_kl_quadratic_margin_example(self):
-        assert kl_bernoulli(0.9, 0.1) == pytest.approx(1.7578, abs=1e-4)
-        assert kl_quadratic_margin(0.9, 0.1) == pytest.approx(
-            kl_bernoulli(0.9, 0.1) - 1.28, rel=1e-12
-        )
 
 
 class TestAdmissibility:
@@ -452,7 +423,12 @@ class TestThresholdMinimizerShape:
         lower_half = z[z < 0.5]
         a, b = 2.0, 1.0
         for y in (0.5, 0.7, 0.95):
-            margins = [threshold_margin(y, zi, a, b) for zi in lower_half]
+            # Below the half line the threshold call is 0, so the error
+            # term |y - 0| is y.
+            margins = [
+                (a + 1.0) * min(y, 1.0 - y) + (b + 1.0) * kl_bernoulli(y, zi) - y
+                for zi in lower_half
+            ]
             argmin = lower_half[int(np.argmin(margins))]
             assert argmin == lower_half[-1]
             assert 0.5 - argmin <= (z[1] - z[0]) + 1e-12

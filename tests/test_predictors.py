@@ -110,10 +110,10 @@ class TestStepQuantities:
 class TestPredictors:
     def test_laplace_rule_values(self):
         p = LaplaceRulePredictor()
-        assert p.probability_of_one(EMPTY) == pytest.approx(0.5)
-        assert p.probability_of_one(BinaryString.parse("1")) == pytest.approx(2 / 3)
-        assert p.probability_of_one(BinaryString.parse("10")) == pytest.approx(0.5)
-        assert p.probability_of_one(BinaryString.parse("111")) == pytest.approx(4 / 5)
+        assert p.conditional(EMPTY, 1) == pytest.approx(0.5)
+        assert p.conditional(BinaryString.parse("1"), 1) == pytest.approx(2 / 3)
+        assert p.conditional(BinaryString.parse("10"), 1) == pytest.approx(0.5)
+        assert p.conditional(BinaryString.parse("111"), 1) == pytest.approx(4 / 5)
 
     def test_laplace_cursor_matches(self):
         p = LaplaceRulePredictor()
@@ -121,31 +121,31 @@ class TestPredictors:
         cur = p.cursor()
         for k, bit in enumerate(s):
             assert cur.probability_of_one() == pytest.approx(
-                p.probability_of_one(s.prefix(k))
+                p.conditional(s.prefix(k), 1)
             )
             cur = cur.advanced(bit)
 
     def test_constant_predictor(self):
         p = ConstantPredictor(0.25)
-        assert p.probability_of_one(BinaryString.parse("111")) == 0.25
+        assert p.conditional(BinaryString.parse("111"), 1) == 0.25
         cur = p.cursor().advanced(1).advanced(0)
         assert cur.probability_of_one() == 0.25
 
     def test_threshold_predictor_binary_output(self):
         base = MeasurePredictor(BernoulliMeasure(0.7))
         t = ThresholdPredictor(base)
-        assert t.probability_of_one(EMPTY) == 1.0
+        assert t.conditional(EMPTY, 1) == 1.0
         low = ThresholdPredictor(MeasurePredictor(BernoulliMeasure(0.3)))
-        assert low.probability_of_one(EMPTY) == 0.0
+        assert low.conditional(EMPTY, 1) == 0.0
 
     def test_threshold_tie_uses_named_constant(self):
         t = ThresholdPredictor(ConstantPredictor(0.5))
-        assert t.probability_of_one(EMPTY) == 0.0
+        assert t.conditional(EMPTY, 1) == 0.0
 
     def test_deterministic_wrap_accepts_measures(self):
         t = deterministic_wrap(BernoulliMeasure(0.7))
         assert t.name == "threshold(bernoulli(0.7))"
-        assert t.probability_of_one(EMPTY) == 1.0
+        assert t.conditional(EMPTY, 1) == 1.0
         with pytest.raises(PredictionError):
             deterministic_wrap(0.7)
 

@@ -416,14 +416,3 @@ class TestTableMeasure:
         table = approximate_mass(EchoMachine(), cap=4, fuel=8, depth=3)
         assert TableMeasure(table).name == "table(echo, cap=4)"
         assert TableMeasure(table, "m_hat").name == "m_hat"
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        table = approximate_mass(RegisterMachine(), cap=10, fuel=24, depth=5)
-        clone = SemimeasureTable.from_json(table.to_json())
-        assert clone == table
-
-    def test_rejects_unknown_schema(self):
-        with pytest.raises(SemimeasureError, match="schema"):
-            SemimeasureTable.from_json('{"schema": "something-else"}')

@@ -9,9 +9,10 @@ here (the table entry for the last bits, the die the dealer's table picks).
 Predictors are checked against closed forms written here.  A context of
 probability zero raises on the rule and has no oracle value.
 
-The context routes (conditional, probability_of_one) and the default
-log_prefix_probability are derived once, in the base classes; the design
-tests at the end keep it that way.
+The context route, conditional(context, bit), is derived once, on
+StateRule, for measures and predictors alike, and the default
+log_prefix_probability once, on SequenceMeasure; the design tests at the
+end keep it that way.
 """
 
 import math
@@ -28,6 +29,7 @@ from seqpred.measures import (
     MeasureCursor,
     NullEventError,
     SequenceMeasure,
+    StateRule,
     deterministic,
 )
 from seqpred.numerics import TIE_PREDICTION
@@ -223,7 +225,8 @@ def test_predictor_state_rule_matches_closed_form(factory, oracle, rel, bits):
         stepped = predictor.p1(state)
         assert_matches(oracle(bits[:k]), stepped, rel)
         context = BinaryString(tuple(bits[:k]))
-        assert predictor.probability_of_one(context) == stepped
+        assert predictor.conditional(context, 1) == stepped
+        assert predictor.conditional(context, 0) == 1.0 - stepped
         assert cursor.probability_of_one() == stepped
         if k < len(bits):
             state = predictor.step(state, bits[k])
@@ -270,10 +273,9 @@ def defining(base, attr):
 
 
 def test_context_routes_are_defined_only_in_the_base_classes():
-    assert defining(SequenceMeasure, "conditional") == []
-    assert defining(Predictor, "probability_of_one") == []
-    assert "conditional" in vars(SequenceMeasure)
-    assert "probability_of_one" in vars(Predictor)
+    assert defining(StateRule, "conditional") == []
+    assert not hasattr(Predictor, "probability_of_one")
+    assert "conditional" in vars(StateRule)
 
 
 def test_only_independent_pricing_overrides_log_prefix_probability():
