@@ -37,6 +37,7 @@ either kind holds no other keys.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 
 from .dicegame import GameMeasure, GameSpec, dealer_rule
@@ -328,10 +329,11 @@ def build_explore_pairs(section) -> dict:
             if not (
                 isinstance(pair, list)
                 and len(pair) == 2
-                and all(_is_real(v) for v in pair)
+                and all(_is_real(v) and math.isfinite(v) for v in pair)
             ):
                 raise ConfigError(
-                    f"{where} entries must be [A, B] number pairs, got {pair!r}"
+                    f"{where} entries must be [A, B] pairs of finite "
+                    f"numbers, got {pair!r}"
                 )
         explore[name] = [tuple(pair) for pair in pairs]
     return explore

@@ -18,17 +18,17 @@ regression tests rather than proofs.
 The scan kernel makes one pass over the mesh in cache-sized row blocks.
 The grid, KL(y||z) and the y-only terms are built once per run; the
 side term of each block is computed once and shared by every (A, B)
-pair, whose margin is evaluated in place into one buffer per worker.
-Each pair carries its running minimum, flat argmin and count of cells
-<= 0 across blocks.  Worker threads split the mesh rows, not the pairs,
-and their partials merge in row order by np.argmin's rule (the first
-NaN wins, otherwise ties go to the first cell), so every report is the
-one a full-mesh evaluation gives, bit for bit, at any thread count.
+pair, whose margin is evaluated in place into one buffer per block.
+Row block i writes each pair's minimum, flat argmin and count of cells
+<= 0 into row i of a (blocks x pairs) table.  Worker threads take row
+blocks, not pairs, from one pool at every thread count, and np.argmin
+over the block axis keeps np.argmin's rule (the first NaN wins,
+otherwise ties go to the first cell), so every report is the one a
+full-mesh evaluation gives, bit for bit, at any thread count.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields
 
@@ -185,17 +185,22 @@ class MarginReport:
         )
 
 
-def sample_distance_params(count: int, seed: int):
-    """Half on the exact boundary B = 1/(2A) + 1, half strictly inside."""
+def _sample_a_first(count: int, seed: int, required_b):
+    """Half on the exact boundary B = required_b(A), half strictly inside."""
     rng = np.random.default_rng(seed)
     pairs = []
     for i in range(count):
         a = float(np.exp(rng.uniform(np.log(0.1), np.log(8.0))))
-        b = required_b_distance(a)
+        b = required_b(a)
         if i % 2:
             b *= float(rng.uniform(1.02, 2.5))
         pairs.append((a, b))
     return pairs
+
+
+def sample_distance_params(count: int, seed: int):
+    """Half on the exact boundary B = 1/(2A) + 1, half strictly inside."""
+    return _sample_a_first(count, seed, required_b_distance)
 
 
 def sample_lower_params(count: int, seed: int):
@@ -213,15 +218,7 @@ def sample_lower_params(count: int, seed: int):
 
 def sample_threshold_params(count: int, seed: int):
     """Half on the exact boundary B = A/4 + 1/A, half strictly inside."""
-    rng = np.random.default_rng(seed)
-    pairs = []
-    for i in range(count):
-        a = float(np.exp(rng.uniform(np.log(0.1), np.log(8.0))))
-        b = required_b_threshold(a)
-        if i % 2:
-            b *= float(rng.uniform(1.02, 2.5))
-        pairs.append((a, b))
-    return pairs
+    return _sample_a_first(count, seed, required_b_threshold)
 
 
 # Mesh rows per block.  A 32-row block of the ~2000-column mesh is about
@@ -255,65 +252,46 @@ class _Mesh:
         )
 
 
-def _merge_minima(partials):
-    """Combine (min, flat index) partials listed in row order.
-
-    Follows np.argmin on the concatenated mesh: the first NaN wins,
-    otherwise the smallest value, with ties going to the earliest cell.
-    """
-    best_value, best_flat = partials[0]
-    for value, flat in partials[1:]:
-        if math.isnan(best_value):
-            break
-        if value < best_value or math.isnan(value):
-            best_value, best_flat = value, flat
-    return best_value, best_flat
-
-
 def _scan_rows(mesh, count, margins, threads):
     """(min, argmin y, argmin z, cells <= 0) of count margins over the mesh.
 
     margins(start, stop, out) yields the count margin blocks of rows
-    start:stop in order, typically evaluated into the buffer out.  Each
-    worker thread scans a contiguous range of blocks for every margin,
-    and the partials merge in row order.
+    start:stop in order, typically evaluated into the buffer out.  Row
+    block i writes each margin's minimum, flat argmin and count of cells
+    <= 0 into row i of three (blocks x margins) arrays, so np.argmin
+    over the block minima picks the cell np.argmin picks on the whole
+    mesh, whichever worker scanned which block.
     """
+    if threads < 1:
+        raise GridError(f"threads must be at least 1, got {threads}")
     n_y, n_z = mesh.kl.shape
-    starts = list(range(0, n_y, _BLOCK_ROWS))
+    starts = range(0, n_y, _BLOCK_ROWS)
+    minima = np.empty((len(starts), count))
+    flats = np.empty((len(starts), count), dtype=np.intp)
+    violations = np.zeros((len(starts), count), dtype=np.int64)
 
-    def scan(block_starts):
-        out = np.empty((_BLOCK_ROWS, n_z))
-        partials = [[] for _ in range(count)]
-        violations = [0] * count
-        for start in block_starts:
-            stop = min(start + _BLOCK_ROWS, n_y)
-            blocks = margins(start, stop, out[: stop - start])
-            for k, block in enumerate(blocks):
-                flat = int(np.argmin(block))
-                value = block.item(flat)
-                partials[k].append((value, start * n_z + flat))
-                if not value > 0.0:
-                    violations[k] += int(np.count_nonzero(block <= 0.0))
-        return partials, violations
+    def scan(i):
+        start = starts[i]
+        stop = min(start + _BLOCK_ROWS, n_y)
+        out = np.empty((stop - start, n_z))
+        for k, block in enumerate(margins(start, stop, out)):
+            flat = np.argmin(block)
+            minima[i, k] = block.flat[flat]
+            flats[i, k] = start * n_z + flat
+            if not minima[i, k] > 0.0:
+                violations[i, k] = np.count_nonzero(block <= 0.0)
 
-    per_worker = -(-len(starts) // max(1, threads))
-    ranges = [
-        starts[i:i + per_worker] for i in range(0, len(starts), per_worker)
-    ]
-    if len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(pool.map(scan, ranges))
-    else:
-        results = [scan(ranges[0])]
+    # Reading the results (which raises a block's error) after the pool
+    # shuts down keeps this thread from waking, and taking the GIL, per block.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        scanned = pool.map(scan, range(len(starts)))
+    list(scanned)
     merged = []
-    for k in range(count):
-        value, flat = _merge_minima(
-            [p for partials, _ in results for p in partials[k]]
-        )
-        row_i, col_i = divmod(flat, n_z)
+    for k, i in enumerate(np.argmin(minima, axis=0)):
+        row_i, col_i = divmod(int(flats[i, k]), n_z)
         merged.append((
-            value, float(mesh.y[row_i]), float(mesh.z[col_i]),
-            sum(counts[k] for _, counts in results),
+            float(minima[i, k]), float(mesh.y[row_i]), float(mesh.z[col_i]),
+            int(violations[:, k].sum()),
         ))
     return merged
 

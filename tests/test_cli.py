@@ -17,8 +17,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
+    """Write payload as JSON, or verbatim when it is already JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -420,6 +421,14 @@ ONES_ONLY = two_bernoulli_config(**{
 })
 
 
+def inequalities_text(explore):
+    """A small inequalities config as JSON text, explore spelled verbatim."""
+    return (
+        '{"inequalities": {"grid": {"y_count": 40, "z_count": 40, '
+        '"param_samples": 2}, "explore": ' + explore + "}}"
+    )
+
+
 class TestMalformedFields:
     """Fields that ended in a traceback, were ignored, or were checked
     only after some output, before checking, and configs that an engine
@@ -524,6 +533,12 @@ class TestMalformedFields:
             "grid": {"y_count": 40, "z_count": 40, "param_samples": 2},
             "explore": {"pinsker": [[1.0, 1.0]]},
         }}, []),
+        "explore-pair-infinite": ("inequalities", inequalities_text(
+            '{"distance": [[1.0, Infinity]]}'), []),
+        "explore-pair-nan": ("inequalities", inequalities_text(
+            '{"lower": [[NaN, 1.05]]}'), []),
+        "explore-pair-overflow": ("inequalities", inequalities_text(
+            '{"threshold": [[1e400, 2.0]]}'), []),
     }
 
     @pytest.mark.parametrize(
@@ -548,6 +563,17 @@ class TestMalformedFields:
         code = run(["simulate", "--config", config, "--out", str(tmp_path)])
         assert code == 2
         assert "rho.measure.theta must be a number" in capsys.readouterr().err
+
+    def test_non_finite_explore_pair_names_its_path(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, inequalities_text('{"distance": [[1.0, Infinity]]}'),
+        )
+        code = run(["inequalities", "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert (
+            "inequalities.explore.distance entries must be [A, B] pairs of "
+            "finite numbers, got [1.0, inf]"
+        ) in capsys.readouterr().err
 
 
 class TestUsageErrors:

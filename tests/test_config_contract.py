@@ -2,10 +2,13 @@
 
 Each shipped config is cut to small sizes, then mutated at one field
 path: its value is replaced by one from a fixed pool, its key deleted,
-or an unknown key added.  main() must exit 0, 1 or 2 without a
-traceback.  Exit 2 is a config error and must leave no output: nothing
-on stdout, stderr starting with "config error" (or an argparse usage
-line), and no --out directory.
+or an unknown key added.  The flag a subcommand reads (--threads on
+inequalities, --seed on dicegame and simulate) may be drawn from a
+second pool.  main() must exit 0, 1 or 2 without a traceback and
+without a numpy RuntimeWarning, which would mean a NaN or infinity
+reached the numbers.  Exit 2 is a config error and must leave no
+output: nothing on stdout, stderr starting with "config error" (or an
+argparse usage line), and no --out directory.
 """
 
 import contextlib
@@ -14,6 +17,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -59,6 +63,14 @@ POOL = (
     None, True, False, "x", "", -1, 0, 1, 0.5, 2.5, [], {}, [1],
     math.nan, math.inf,
 )
+
+# The flag each subcommand reads, and the values drawn for it.
+FLAGS = {
+    "inequalities": "--threads",
+    "dicegame": "--seed",
+    "simulate": "--seed",
+}
+FLAG_POOL = ("0", "-1", "1", "2", "x", "1.5")
 
 # Deleting a section that holds cut sizes, or replacing it by {}, runs
 # the subcommand at its default sizes (a 2000 x 2000 grid, 100 games of
@@ -141,15 +153,20 @@ def run_main(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def check_case(command, name, mutation):
+def check_case(command, name, mutation, flags=()):
     config = mutated(small_config(name), mutation)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out = Path(tmp) / "out"
-        code, stdout, stderr = run_main(
-            [command, "--config", str(path), "--out", str(out)]
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run_main(
+                [command, "--config", str(path), "--out", str(out), *flags]
+            )
+        assert not [w for w in caught if w.category is RuntimeWarning], [
+            str(w.message) for w in caught
+        ]
         assert code in (0, 1, 2), (code, stderr)
         assert "Traceback" not in stderr
         if code == 2:
@@ -170,4 +187,11 @@ def test_every_config_gets_every_kind_of_mutation():
 def test_one_mutation_exits_cleanly(data):
     command, name = data.draw(st.sampled_from(RUNS), label="run")
     mutation = data.draw(st.sampled_from(MUTATIONS[name]), label="mutation")
-    check_case(command, name, mutation)
+    flags = ()
+    if command in FLAGS:
+        value = data.draw(
+            st.one_of(st.none(), st.sampled_from(FLAG_POOL)), label="flag",
+        )
+        if value is not None:
+            flags = (FLAGS[command], value)
+    check_case(command, name, mutation, flags)

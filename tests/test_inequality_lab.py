@@ -1,5 +1,7 @@
 import csv
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from seqpred.inequality_lab import (
     GridSpec,
     MarginReport,
     ScanRow,
-    _merge_minima,
+    _scan_rows,
     admissible_distance,
     admissible_lower,
     admissible_threshold,
@@ -166,6 +168,15 @@ class TestScans:
             serial = check(spec, threads=1)
             parallel = check(spec, threads=4)
             assert serial.to_dict() == parallel.to_dict()
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_are_rejected(self, threads):
+        spec = GridSpec(y_count=20, z_count=20, param_samples=2)
+        for check in (check_distance_bound, check_kl_quadratic_bound):
+            with pytest.raises(GridError, match="threads must be at least 1"):
+                check(spec, threads=threads)
+        with pytest.raises(GridError, match="threads must be at least 1"):
+            run_all_scans(spec, threads=threads)
 
 
 def _full_mesh_row(y, z, a, b, admissible, margins):
@@ -326,32 +337,77 @@ class TestBlockedScanMatchesFullMesh:
             ))
 
 
-class TestArgminMerge:
-    def test_merge_matches_argmin_on_the_concatenation(self):
-        # An exact tie (1.0) across the first block boundary, -0.0 tying
-        # 0.0 later, then a NaN and a smaller value after it.
-        blocks = [
-            np.array([3.0, 1.0, 2.0]),
-            np.array([1.0, 5.0]),
-            np.array([0.0, 4.0]),
-            np.array([-0.0, 7.0]),
-            np.array([4.0, np.nan, 0.5]),
-            np.array([np.nan, -1.0]),
+class TestScanRowsMerge:
+    """The block merge picks the cell np.argmin picks on the whole mesh."""
+
+    @staticmethod
+    def stub_margins():
+        # Four margins over a 69 x 2 mesh: blocks hold rows 0-31, 32-63
+        # and 64-68.
+        values = np.full((4, 2 * _BLOCK_ROWS + 5, 2), 5.0)
+        # An exact tie across the first block boundary.
+        values[0, _BLOCK_ROWS - 1, 1] = values[0, _BLOCK_ROWS, 0] = 1.0
+        # -0.0 in the second block tying 0.0 in the first.
+        values[1, 10, 0] = 0.0
+        values[1, _BLOCK_ROWS + 8, 1] = -0.0
+        # A NaN followed by a smaller value, in a later block.
+        values[2, _BLOCK_ROWS + 3, 1] = np.nan
+        values[2, 2 * _BLOCK_ROWS + 1, 0] = -1.0
+        # A NaN after a smaller value still wins.
+        values[3, 0, 0] = -3.0
+        values[3, 2 * _BLOCK_ROWS + 4, 1] = np.nan
+        return values
+
+    @staticmethod
+    def scan_and_expect(values, threads):
+        """_scan_rows over a stub mesh, and np.argmin over each margin."""
+        n_y, n_z = values.shape[1:]
+        mesh = SimpleNamespace(
+            kl=np.empty((n_y, n_z)),
+            y=np.linspace(0.0, 1.0, n_y),
+            z=np.linspace(0.25, 0.75, n_z),
+        )
+
+        def margins(start, stop, out):
+            for margin in values:
+                out[:] = margin[start:stop]
+                yield out
+
+        expected = []
+        for margin in values:
+            row_i, col_i = np.unravel_index(np.argmin(margin), margin.shape)
+            expected.append((
+                float(margin[row_i, col_i]), float(mesh.y[row_i]),
+                float(mesh.z[col_i]), int(np.count_nonzero(margin <= 0.0)),
+            ))
+        return _scan_rows(mesh, len(values), margins, threads), expected, mesh
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_merge_matches_argmin_on_the_concatenation(self, threads):
+        merged, expected, mesh = self.scan_and_expect(
+            self.stub_margins(), threads,
+        )
+        assert repr(merged) == repr(expected)
+        assert [row[1] for row in merged[:2]] == [
+            mesh.y[_BLOCK_ROWS - 1], mesh.y[10],
         ]
-        starts = np.cumsum([0] + [len(block) for block in blocks])
-        partials = [
-            (float(block[np.argmin(block)]), int(start + np.argmin(block)))
-            for block, start in zip(blocks, starts)
-        ]
-        for end in range(1, len(blocks) + 1):
-            whole = np.concatenate(blocks[:end])
-            value, flat = _merge_minima(partials[:end])
-            assert flat == int(np.argmin(whole))
-            assert repr(value) == repr(float(whole[flat]))
-        assert _merge_minima(partials[:2]) == (1.0, 1)
-        assert repr(_merge_minima(partials[:4])) == repr((0.0, 5))
-        value, flat = _merge_minima(partials)
-        assert math.isnan(value) and flat == 10
+        assert repr(merged[1][0]) == "0.0"
+        assert all(math.isnan(row[0]) for row in merged[2:])
+
+    def test_many_workers_under_fast_thread_switching(self):
+        # More workers than cores, switching threads as often as the
+        # interpreter allows: every block still lands in its own row.
+        rng = np.random.default_rng(5)
+        values = rng.integers(-2, 40, (6, 40 * _BLOCK_ROWS + 7, 3)) / 4.0
+        values[2, rng.integers(0, values.shape[1], 5), 1] = np.nan
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                merged, expected, _mesh = self.scan_and_expect(values, 8)
+                assert repr(merged) == repr(expected)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestKlMesh:
