@@ -274,12 +274,19 @@ def _scan_rows(mesh, count, margins, threads):
         start = starts[i]
         stop = min(start + _BLOCK_ROWS, n_y)
         out = np.empty((stop - start, n_z))
-        for k, block in enumerate(margins(start, stop, out)):
-            flat = np.argmin(block)
-            minima[i, k] = block.flat[flat]
-            flats[i, k] = start * n_z + flat
-            if not minima[i, k] > 0.0:
-                violations[i, k] = np.count_nonzero(block <= 0.0)
+        # A finite but huge explore A or B overflows a margin to +-inf,
+        # its correctly rounded value, so only the overflow warning is
+        # silenced; an invalid operation (a NaN) still warns.  The error
+        # state is entered in each block because pool threads do not
+        # inherit it, and once per block rather than per margin because
+        # entering it per margin cost several percent of the scan's CPU.
+        with np.errstate(over="ignore"):
+            for k, block in enumerate(margins(start, stop, out)):
+                flat = np.argmin(block)
+                minima[i, k] = block.flat[flat]
+                flats[i, k] = start * n_z + flat
+                if not minima[i, k] > 0.0:
+                    violations[i, k] = np.count_nonzero(block <= 0.0)
 
     # Reading the results (which raises a block's error) after the pool
     # shuts down keeps this thread from waking, and taking the GIL, per block.

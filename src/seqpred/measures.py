@@ -8,6 +8,15 @@ rho(s), chain the same conditionals in log space so long horizons do not
 underflow.  Families with a closed form for rho(s) price it on their own,
 and the Bayes ratio rho(b | s) = rho(sb) / rho(s) over it is the
 cross-check on the rule.
+
+Pricing is a prefix rule of its own: prefix_start() is the price state
+of the empty string, prefix_step(pstate, bit) the state one bit longer
+and log_prefix(pstate) reads ln rho off it.  log_prefix_probability(s)
+folds that rule along s, and a walk over the context tree carries the
+price states down its branches, so every prefix costs one step more
+than its parent.  By default the rule chains the state rule's
+conditionals; the families with a closed form override the prefix rule
+alone.
 """
 
 from __future__ import annotations
@@ -113,24 +122,38 @@ class StateRule(ABC):
 class SequenceMeasure(StateRule):
     """A probability measure on one-way infinite binary sequences.
 
-    Families define the state rule; the chained prefix probability is
-    derived from it here.
+    Families define the state rule; the default prefix rule chains its
+    conditionals, and log_prefix_probability folds the prefix rule.
     """
 
     name: str = "measure"
 
+    # The default price state pairs the rule state with the running sum
+    # of log conditionals, and is (None, -inf) once a bit has
+    # probability zero.
+
+    def prefix_start(self):
+        return (self.start(), 0.0)
+
+    def prefix_step(self, pstate, bit: int):
+        state, total = pstate
+        if total == -math.inf:
+            return pstate
+        p1 = self.p1(state)
+        p = p1 if bit == 1 else 1.0 - p1
+        if p <= 0.0:
+            return (None, -math.inf)
+        return (self.step(state, bit), total + math.log(p))
+
+    def log_prefix(self, pstate) -> float:
+        return pstate[1]
+
     def log_prefix_probability(self, s: BinaryString) -> float:
-        """ln rho(s) as the chain of conditionals; -inf encodes zero."""
-        total = 0.0
-        state = self.start()
+        """ln rho(s), by folding the prefix rule; -inf encodes zero."""
+        pstate = self.prefix_start()
         for bit in s:
-            p1 = self.p1(state)
-            try:
-                total += math.log(p1 if bit == 1 else 1.0 - p1)
-            except ValueError:  # log(0.0): this bit has probability zero
-                return -math.inf
-            state = self.step(state, bit)
-        return total
+            pstate = self.prefix_step(pstate, bit)
+        return self.log_prefix(pstate)
 
     def prefix_probability(self, s: BinaryString) -> float:
         return math.exp(self.log_prefix_probability(s))
@@ -162,9 +185,18 @@ class MeasureCursor:
 
 
 def chain_probability(measure: SequenceMeasure, s: BinaryString) -> float:
-    """The chain of state-rule conditionals along s, bypassing any closed
-    form a family prices rho(s) with; must match prefix_probability."""
-    return math.exp(SequenceMeasure.log_prefix_probability(measure, s))
+    """The chain of state-rule conditionals along s, bypassing any prefix
+    rule a family prices rho(s) with; must match prefix_probability."""
+    total = 0.0
+    state = measure.start()
+    for bit in s:
+        p1 = measure.p1(state)
+        try:
+            total += math.log(p1 if bit == 1 else 1.0 - p1)
+        except ValueError:  # log(0.0): this bit has probability zero
+            return 0.0
+        state = measure.step(state, bit)
+    return math.exp(total)
 
 
 class BernoulliMeasure(SequenceMeasure):
@@ -181,9 +213,18 @@ class BernoulliMeasure(SequenceMeasure):
         self._log_theta = math.log(self.theta)
         self._log_comp = math.log1p(-self.theta)
 
-    def log_prefix_probability(self, s: BinaryString) -> float:
-        ones = s.count(1)
-        return ones * self._log_theta + (len(s) - ones) * self._log_comp
+    # The price state is (length, ones).
+
+    def prefix_start(self):
+        return (0, 0)
+
+    def prefix_step(self, pstate, bit: int):
+        length, ones = pstate
+        return (length + 1, ones + bit)
+
+    def log_prefix(self, pstate) -> float:
+        length, ones = pstate
+        return ones * self._log_theta + (length - ones) * self._log_comp
 
     def start(self):
         return None
@@ -273,13 +314,8 @@ class DeterministicMeasure(SequenceMeasure):
             )
         return bit
 
-    def log_prefix_probability(self, s: BinaryString) -> float:
-        for i, bit in enumerate(s):
-            if bit != self.target_bit(i):
-                return -math.inf
-        return 0.0
-
-    # The state is the position on the target, or None once off it.
+    # The state is the position on the target, or None once off it; it
+    # is the price state too.
 
     def start(self):
         return 0
@@ -293,6 +329,12 @@ class DeterministicMeasure(SequenceMeasure):
         if state is None or bit != self.target_bit(state):
             return None
         return state + 1
+
+    prefix_start = start
+    prefix_step = step
+
+    def log_prefix(self, pstate) -> float:
+        return -math.inf if pstate is None else 0.0
 
 
 def named_generator(name: str, fuel: int = 100_000):

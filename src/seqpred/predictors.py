@@ -25,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .measures import (
-    BinaryString,
-    MeasureError,
-    SequenceMeasure,
-    StateRule,
-)
+from .measures import MeasureError, SequenceMeasure, StateRule
 from .numerics import kl_bernoulli, threshold_step
 
 EXACT_HORIZON_CAP = 16
@@ -311,8 +306,9 @@ def exact_expectations(
 
     Walks the full depth-n binary tree, weighting each context by its
     informed probability and pruning zero-probability branches.  Also
-    recomputes the entropy total from the leaf probability ratios (the
-    telescoped form) and insists the two routes agree to 1e-9.
+    sums the entropy total from the leaf probability ratios (the
+    telescoped form), priced by each measure's own prefix rule carried
+    down the same walk, and insists the two routes agree to 1e-9.
     """
     rho = _walked(rho, n)
     if n > EXACT_HORIZON_CAP:
@@ -322,15 +318,14 @@ def exact_expectations(
         )
     steps = [[0.0] * n for _ in _STEP_FIELDS]
     leaf_terms = []
-    path = []
 
-    def walk(k, log_mu, mu_state, xi_state, rho_state):
+    def walk(k, log_mu, mu_state, xi_state, rho_state, mu_price, xi_price):
         if k == n:
             # Independent route for the telescoped entropy total: both
-            # prefix probabilities are recomputed from scratch.
-            leaf = BinaryString(tuple(path))
-            lm = mu.log_prefix_probability(leaf)
-            lx = xi.log_prefix_probability(leaf)
+            # leaf prices come from the prefix rules, not from the
+            # conditionals the steps above were weighted with.
+            lm = mu.log_prefix(mu_price)
+            lx = xi.log_prefix(xi_price)
             leaf_terms.append(math.exp(lm) * (lm - lx))
             return
         y = mu.p1(mu_state)
@@ -342,17 +337,18 @@ def exact_expectations(
         for bit, p_mu in ((0, 1.0 - y), (1, y)):
             if p_mu <= 0.0:
                 continue
-            path.append(bit)
             walk(
                 k + 1,
                 log_mu + math.log(p_mu),
                 mu.step(mu_state, bit),
                 xi.step(xi_state, bit),
                 rho.step(rho_state, bit),
+                mu.prefix_step(mu_price, bit),
+                xi.prefix_step(xi_price, bit),
             )
-            path.pop()
 
-    walk(0, 0.0, mu.start(), xi.start(), rho.start())
+    walk(0, 0.0, mu.start(), xi.start(), rho.start(),
+         mu.prefix_start(), xi.prefix_start())
 
     telescoped = math.fsum(leaf_terms)
     entropy_total = math.fsum(steps[_STEP_FIELDS.index("entropy")])

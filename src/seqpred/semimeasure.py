@@ -285,19 +285,25 @@ class TableMeasure(SequenceMeasure):
         self.name = name
         self.table = table
 
-    def log_prefix_probability(self, s: BinaryString) -> float:
-        if len(s) > self.table.depth:
+    # The price state is (context, ln of its chained normalized masses),
+    # read as the default rule reads its (state, total); the total is
+    # -inf once a bit has no mass, and the context keeps growing so the
+    # depth is still checked.
+
+    def prefix_start(self):
+        return (EMPTY, 0.0)
+
+    def prefix_step(self, pstate, bit: int):
+        context, total = pstate
+        if len(context) >= self.table.depth:
             raise SemimeasureError(
                 f"table depth {self.table.depth} cannot price a length "
-                f"{len(s)} string"
+                f"{len(context) + 1} string"
             )
-        total = 0.0
-        for i, bit in enumerate(s):
-            p = normalize(self.table, s.prefix(i), bit)
-            if p == 0.0:
-                return -math.inf
-            total += math.log(p)
-        return total
+        if total != -math.inf:
+            p = normalize(self.table, context, bit)
+            total = -math.inf if p == 0.0 else total + math.log(p)
+        return (context.extended(bit), total)
 
     # The state is the context itself: the table has no smaller summary.
 

@@ -111,10 +111,22 @@ class MixtureMeasure(SequenceMeasure):
         self._log_weight_sum = math.log(weighted_class.weight_sum)
         self._measures = weighted_class.measures()
 
-    def log_prefix_probability(self, s: BinaryString) -> float:
+    # The price state is the tuple of the components' own price states,
+    # so xi(s) is priced from each nu_i(s), never from the posterior
+    # state below.  A dead component's price stays -inf.
+
+    def prefix_start(self):
+        return tuple(m.prefix_start() for m in self._measures)
+
+    def prefix_step(self, pstate, bit: int):
+        return tuple([
+            m.prefix_step(part, bit) for m, part in zip(self._measures, pstate)
+        ])
+
+    def log_prefix(self, pstate) -> float:
         terms = [
-            lw + m.log_prefix_probability(s)
-            for (m, _), lw in zip(self.weighted_class.components, self._log_weights)
+            lw + m.log_prefix(part)
+            for m, part, lw in zip(self._measures, pstate, self._log_weights)
         ]
         return logsumexp(terms) - self._log_weight_sum
 

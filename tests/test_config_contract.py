@@ -61,7 +61,7 @@ SMALL = {
 
 POOL = (
     None, True, False, "x", "", -1, 0, 1, 0.5, 2.5, [], {}, [1],
-    math.nan, math.inf,
+    math.nan, math.inf, 1e308, -1e308,
 )
 
 # The flag each subcommand reads, and the values drawn for it.

@@ -1,6 +1,7 @@
 import csv
 import math
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -168,6 +169,30 @@ class TestScans:
             serial = check(spec, threads=1)
             parallel = check(spec, threads=4)
             assert serial.to_dict() == parallel.to_dict()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "check", [check_distance_bound, check_lower_bound, check_threshold_bound]
+    )
+    def test_huge_explore_pairs_overflow_to_infinite_margins_silently(
+        self, check, threads,
+    ):
+        spec = GridSpec(y_count=20, z_count=20, param_samples=2)
+        pairs = [(1.0, 1e308), (1.0, -1e308), (1e308, 1e308), (-1e308, -1e308)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = check(spec, pairs=pairs, mode="explore", threads=threads)
+        assert [str(w.message) for w in caught] == []
+        assert report.rows[0].min_margin > 0.0
+        assert report.rows[1].min_margin == -math.inf
+        assert report.rows[3].min_margin == -math.inf
+
+    def test_an_invalid_margin_still_warns(self):
+        # B = inf times the KL's exact zeros is NaN, which must not pass
+        # silently with the overflows.
+        spec = GridSpec(y_count=20, z_count=20, param_samples=2)
+        with pytest.warns(RuntimeWarning, match="invalid"):
+            check_distance_bound(spec, pairs=[(1.0, math.inf)], mode="explore")
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_are_rejected(self, threads):

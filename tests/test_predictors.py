@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seqpred.dicegame import GameMeasure, dealer_rule
 from seqpred.measures import (
     EMPTY,
     BernoulliMeasure,
@@ -26,6 +27,7 @@ from seqpred.predictors import (
     monte_carlo_expectations,
     step_terms,
 )
+from seqpred.semimeasure import EchoMachine, TableMeasure, approximate_mass
 from seqpred.universal import MixtureMeasure, WeightedClass
 
 
@@ -199,6 +201,31 @@ class TestExactExpectations:
         assert report.telescoped_entropy == pytest.approx(
             report.total("entropy"), abs=1e-9
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("mu_index", [0, 1], ids=["bernoulli", "markov"])
+    def test_telescoped_entropy_equals_the_per_string_route(self, mu_index, n):
+        # The engine prices each leaf with the prefix states it carried
+        # down the walk; pricing every mu-positive leaf from its string
+        # must give the same terms, so the same fsum, exactly.
+        components = [
+            BernoulliMeasure(0.3),
+            MarkovMeasure.random(2, np.random.default_rng(7)),
+            GameMeasure(dealer_rule("feedback-oppose")),
+            TableMeasure(approximate_mass(EchoMachine(), cap=8, fuel=16, depth=8)),
+            deterministic("alternating"),  # dies on the first bit off it
+        ]
+        xi = MixtureMeasure(WeightedClass.with_index_code_weights(components))
+        mu = components[mu_index]
+        report = exact_expectations(mu, xi, n)
+        terms = []
+        for bits in itertools.product((0, 1), repeat=n):
+            leaf = BinaryString(bits)
+            lm = mu.log_prefix_probability(leaf)
+            if lm > -math.inf:
+                lx = xi.log_prefix_probability(leaf)
+                terms.append(math.exp(lm) * (lm - lx))
+        assert report.telescoped_entropy == math.fsum(terms)
 
     def test_horizon_validation(self):
         mu, xi = two_bernoulli_setup()

@@ -10,9 +10,10 @@ Predictors are checked against closed forms written here.  A context of
 probability zero raises on the rule and has no oracle value.
 
 The context route, conditional(context, bit), is derived once, on
-StateRule, for measures and predictors alike, and the default
-log_prefix_probability once, on SequenceMeasure; the design tests at the
-end keep it that way.
+StateRule, for measures and predictors alike, and
+log_prefix_probability once, on SequenceMeasure, as the fold of a prefix
+rule that only the families pricing rho(s) on their own override; the
+design tests at the end keep it that way.
 """
 
 import math
@@ -278,8 +279,18 @@ def test_context_routes_are_defined_only_in_the_base_classes():
     assert "conditional" in vars(StateRule)
 
 
-def test_only_independent_pricing_overrides_log_prefix_probability():
-    assert defining(SequenceMeasure, "log_prefix_probability") == [
+def test_log_prefix_probability_is_defined_only_on_sequence_measure():
+    assert defining(SequenceMeasure, "log_prefix_probability") == []
+    assert "log_prefix_probability" in vars(SequenceMeasure)
+
+
+def test_only_independent_pricing_defines_a_prefix_rule():
+    found = {
+        name
+        for attr in ("prefix_start", "prefix_step", "log_prefix")
+        for name in defining(SequenceMeasure, attr)
+    }
+    assert sorted(found) == [
         "BernoulliMeasure", "DeterministicMeasure", "MixtureMeasure",
         "TableMeasure",
     ]
