@@ -3,20 +3,23 @@
 A measure is a state-transition rule: start() is the state at the empty
 context, p1(state) = rho(1 | context) and step(state, bit) the state after
 one more bit, so conditioning is the rule replayed along the context.
-Prefix probabilities rho(s), with rho(empty) = 1 and rho(s0) + rho(s1) =
-rho(s), chain the same conditionals in log space so long horizons do not
-underflow.  Families with a closed form for rho(s) price it on their own,
-and the Bayes ratio rho(b | s) = rho(sb) / rho(s) over it is the
-cross-check on the rule.
+split(state) expands a state into (p1, state after 0, state after 1) at
+once, for a walk that reads both children; it is p1 and both steps by
+default, and a rule whose children share the work of its p1 (the
+mixture) builds them in one pass.  Prefix probabilities rho(s), with
+rho(empty) = 1 and rho(s0) + rho(s1) = rho(s), chain the same
+conditionals in log space so long horizons do not underflow.  Families
+with a closed form for rho(s) price it on their own, and the Bayes ratio
+rho(b | s) = rho(sb) / rho(s) over it is the cross-check on the rule.
 
 Pricing is a prefix rule of its own: prefix_start() is the price state
-of the empty string, prefix_step(pstate, bit) the state one bit longer
-and log_prefix(pstate) reads ln rho off it.  log_prefix_probability(s)
-folds that rule along s, and a walk over the context tree carries the
-price states down its branches, so every prefix costs one step more
-than its parent.  By default the rule chains the state rule's
-conditionals; the families with a closed form override the prefix rule
-alone.
+of the empty string, prefix_split(pstate) the pair of price states one
+bit longer (after 0, after 1) and log_prefix(pstate) reads ln rho off
+it.  log_prefix_probability(s) folds that rule along s, and a walk over
+the context tree carries the price states down its branches, so every
+prefix costs one split of its parent.  By default the rule chains the
+state rule's conditionals; the families with a closed form override the
+prefix rule alone.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 NULL_EVENT_MESSAGE = "conditioning on null event"
+# (state, log mass) of a branch with zero probability: no state, -inf.
+DEAD_STATE = (None, -math.inf)
 
 
 class MeasureError(ValueError):
@@ -89,9 +94,10 @@ class StateRule(ABC):
     """The interface of measures and predictors: a rule read bit by bit.
 
     start() is the state at the empty context, p1(state) is P(next bit
-    = 1) in a state and step(state, bit) the state after one more bit;
-    the context route, conditional(context, bit), is derived here for
-    measures and predictors alike.
+    = 1) in a state, step(state, bit) the state after one more bit and
+    split(state) both children with p1; the context route,
+    conditional(context, bit), is derived here for measures and
+    predictors alike.
     """
 
     @abstractmethod
@@ -105,6 +111,10 @@ class StateRule(ABC):
     @abstractmethod
     def step(self, state, bit: int):
         ...
+
+    def split(self, state):
+        """(p1, state after 0, state after 1): one state's expansion."""
+        return (self.p1(state), self.step(state, 0), self.step(state, 1))
 
     def state_after(self, bits):
         """The state after reading bits in order."""
@@ -129,21 +139,24 @@ class SequenceMeasure(StateRule):
     name: str = "measure"
 
     # The default price state pairs the rule state with the running sum
-    # of log conditionals, and is (None, -inf) once a bit has
+    # of log conditionals, and is DEAD_STATE once a bit has
     # probability zero.
 
     def prefix_start(self):
         return (self.start(), 0.0)
 
-    def prefix_step(self, pstate, bit: int):
+    def prefix_split(self, pstate):
         state, total = pstate
         if total == -math.inf:
-            return pstate
+            return (pstate, pstate)
         p1 = self.p1(state)
-        p = p1 if bit == 1 else 1.0 - p1
-        if p <= 0.0:
-            return (None, -math.inf)
-        return (self.step(state, bit), total + math.log(p))
+        p0 = 1.0 - p1
+        return (
+            (self.step(state, 0), total + math.log(p0))
+            if p0 > 0.0 else DEAD_STATE,
+            (self.step(state, 1), total + math.log(p1))
+            if p1 > 0.0 else DEAD_STATE,
+        )
 
     def log_prefix(self, pstate) -> float:
         return pstate[1]
@@ -152,7 +165,7 @@ class SequenceMeasure(StateRule):
         """ln rho(s), by folding the prefix rule; -inf encodes zero."""
         pstate = self.prefix_start()
         for bit in s:
-            pstate = self.prefix_step(pstate, bit)
+            pstate = self.prefix_split(pstate)[bit]
         return self.log_prefix(pstate)
 
     def prefix_probability(self, s: BinaryString) -> float:
@@ -218,9 +231,9 @@ class BernoulliMeasure(SequenceMeasure):
     def prefix_start(self):
         return (0, 0)
 
-    def prefix_step(self, pstate, bit: int):
+    def prefix_split(self, pstate):
         length, ones = pstate
-        return (length + 1, ones + bit)
+        return ((length + 1, ones), (length + 1, ones + 1))
 
     def log_prefix(self, pstate) -> float:
         length, ones = pstate
@@ -331,7 +344,9 @@ class DeterministicMeasure(SequenceMeasure):
         return state + 1
 
     prefix_start = start
-    prefix_step = step
+
+    def prefix_split(self, pstate):
+        return (self.step(pstate, 0), self.step(pstate, 1))
 
     def log_prefix(self, pstate) -> float:
         return -math.inf if pstate is None else 0.0

@@ -265,6 +265,9 @@ class _NoPredictor:
 
     p1 = step = start
 
+    def split(self, _state):
+        return (None, None, None)
+
 
 _NO_PREDICTOR = _NoPredictor()
 
@@ -305,10 +308,14 @@ def exact_expectations(
     """Exact totals by enumerating every informed-positive context.
 
     Walks the full depth-n binary tree, weighting each context by its
-    informed probability and pruning zero-probability branches.  Also
-    sums the entropy total from the leaf probability ratios (the
-    telescoped form), priced by each measure's own prefix rule carried
-    down the same walk, and insists the two routes agree to 1e-9.
+    informed probability and pruning zero-probability branches.  Each
+    node above depth n - 1 is expanded once, by split() on mu, xi and
+    rho, into p1 and both children's states; a node at depth n - 1
+    reads p1 alone, since its children are leaves and a leaf needs no
+    state.  Also sums the entropy total from the leaf probability
+    ratios (the telescoped form), priced by each measure's own prefix
+    rule carried down the same walk and split at depth n - 1 into both
+    leaves' prices, and insists the two routes agree to 1e-9.
     """
     rho = _walked(rho, n)
     if n > EXACT_HORIZON_CAP:
@@ -318,34 +325,41 @@ def exact_expectations(
         )
     steps = [[0.0] * n for _ in _STEP_FIELDS]
     leaf_terms = []
+    last = n - 1
 
     def walk(k, log_mu, mu_state, xi_state, rho_state, mu_price, xi_price):
-        if k == n:
-            # Independent route for the telescoped entropy total: both
-            # leaf prices come from the prefix rules, not from the
-            # conditionals the steps above were weighted with.
-            lm = mu.log_prefix(mu_price)
-            lx = xi.log_prefix(xi_price)
-            leaf_terms.append(math.exp(lm) * (lm - lx))
-            return
-        y = mu.p1(mu_state)
-        z = xi.p1(xi_state)
-        r = rho.p1(rho_state)
+        if k < last:
+            mu_split = mu.split(mu_state)
+            xi_split = xi.split(xi_state)
+            rho_split = rho.split(rho_state)
+            y, z, r = mu_split[0], xi_split[0], rho_split[0]
+        else:
+            y, z, r = mu.p1(mu_state), xi.p1(xi_state), rho.p1(rho_state)
         for row, term in zip(steps, step_terms(y, z, r, math.exp(log_mu))):
             if term is not None:
                 row[k] += term
+        mu_prices = mu.prefix_split(mu_price)
+        xi_prices = xi.prefix_split(xi_price)
         for bit, p_mu in ((0, 1.0 - y), (1, y)):
             if p_mu <= 0.0:
                 continue
-            walk(
-                k + 1,
-                log_mu + math.log(p_mu),
-                mu.step(mu_state, bit),
-                xi.step(xi_state, bit),
-                rho.step(rho_state, bit),
-                mu.prefix_step(mu_price, bit),
-                xi.prefix_step(xi_price, bit),
-            )
+            if k < last:
+                walk(
+                    k + 1,
+                    log_mu + math.log(p_mu),
+                    mu_split[bit + 1],
+                    xi_split[bit + 1],
+                    rho_split[bit + 1],
+                    mu_prices[bit],
+                    xi_prices[bit],
+                )
+            else:
+                # Independent route for the telescoped entropy total:
+                # both leaf prices come from the prefix rules, not from
+                # the conditionals the steps above were weighted with.
+                lm = mu.log_prefix(mu_prices[bit])
+                lx = xi.log_prefix(xi_prices[bit])
+                leaf_terms.append(math.exp(lm) * (lm - lx))
 
     walk(0, 0.0, mu.start(), xi.start(), rho.start(),
          mu.prefix_start(), xi.prefix_start())

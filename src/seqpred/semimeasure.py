@@ -293,17 +293,23 @@ class TableMeasure(SequenceMeasure):
     def prefix_start(self):
         return (EMPTY, 0.0)
 
-    def prefix_step(self, pstate, bit: int):
+    def prefix_split(self, pstate):
         context, total = pstate
         if len(context) >= self.table.depth:
             raise SemimeasureError(
                 f"table depth {self.table.depth} cannot price a length "
                 f"{len(context) + 1} string"
             )
-        if total != -math.inf:
-            p = normalize(self.table, context, bit)
-            total = -math.inf if p == 0.0 else total + math.log(p)
-        return (context.extended(bit), total)
+        return tuple(
+            (context.extended(bit), self._priced(context, bit, total))
+            for bit in (0, 1)
+        )
+
+    def _priced(self, context, bit: int, total: float) -> float:
+        if total == -math.inf:
+            return total
+        p = normalize(self.table, context, bit)
+        return -math.inf if p == 0.0 else total + math.log(p)
 
     # The state is the context itself: the table has no smaller summary.
 

@@ -12,6 +12,7 @@ import math
 
 from .measures import (
     BinaryString,
+    DEAD_STATE,
     MeasureError,
     NullEventError,
     NULL_EVENT_MESSAGE,
@@ -118,10 +119,10 @@ class MixtureMeasure(SequenceMeasure):
     def prefix_start(self):
         return tuple(m.prefix_start() for m in self._measures)
 
-    def prefix_step(self, pstate, bit: int):
-        return tuple([
-            m.prefix_step(part, bit) for m, part in zip(self._measures, pstate)
-        ])
+    def prefix_split(self, pstate):
+        return tuple(zip(*[
+            m.prefix_split(part) for m, part in zip(self._measures, pstate)
+        ]))
 
     def log_prefix(self, pstate) -> float:
         terms = [
@@ -158,16 +159,43 @@ class MixtureMeasure(SequenceMeasure):
         new_state = []
         for m, (part, term) in zip(self._measures, state):
             if term == -math.inf:
-                new_state.append((None, -math.inf))
+                new_state.append(DEAD_STATE)
                 continue
             p = m.p1(part)
             if bit == 0:
                 p = 1.0 - p
             if p <= 0.0:
-                new_state.append((None, -math.inf))
+                new_state.append(DEAD_STATE)
             else:
                 new_state.append((m.step(part, bit), term + math.log(p)))
         return tuple(new_state)
+
+    def split(self, state):
+        """p1 and both children in one pass over the components: the
+        bit-1 child's log masses are p1's numerator terms, so every
+        float is the one p1 and step compute."""
+        den = logsumexp([term for _, term in state])
+        if den == -math.inf:
+            raise NullEventError(NULL_EVENT_MESSAGE)
+        zeros = []
+        ones = []
+        for m, (part, term) in zip(self._measures, state):
+            if term == -math.inf:
+                zeros.append(DEAD_STATE)
+                ones.append(DEAD_STATE)
+                continue
+            p = m.p1(part)
+            ones.append(
+                (m.step(part, 1), term + math.log(p))
+                if p > 0.0 else DEAD_STATE
+            )
+            p = 1.0 - p
+            zeros.append(
+                (m.step(part, 0), term + math.log(p))
+                if p > 0.0 else DEAD_STATE
+            )
+        p1 = math.exp(logsumexp([term for _, term in ones]) - den)
+        return (p1, tuple(zeros), tuple(ones))
 
     def posterior(self, context: BinaryString):
         """Posterior component weights given the observed context."""

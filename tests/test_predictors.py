@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -27,7 +28,12 @@ from seqpred.predictors import (
     monte_carlo_expectations,
     step_terms,
 )
-from seqpred.semimeasure import EchoMachine, TableMeasure, approximate_mass
+from seqpred.semimeasure import (
+    EchoMachine,
+    RegisterMachine,
+    TableMeasure,
+    approximate_mass,
+)
 from seqpred.universal import MixtureMeasure, WeightedClass
 
 
@@ -78,6 +84,52 @@ def brute_force_expectations(mu, xi, n, laplace=False):
     for name, values in step.items():
         step[name] = [v / 2 ** (n - k) for k, v in enumerate(values)]
     return step
+
+
+def telescoped_components():
+    return [
+        BernoulliMeasure(0.3),
+        MarkovMeasure.random(2, np.random.default_rng(7)),
+        GameMeasure(dealer_rule("feedback-oppose")),
+        TableMeasure(approximate_mass(EchoMachine(), cap=8, fuel=16, depth=8)),
+        deterministic("alternating"),  # dies on the first bit off it
+    ]
+
+
+def assert_telescoped_is_the_per_string_route(mu, components, n):
+    # The engine prices each leaf with the prefix states it carried
+    # down the walk; pricing every mu-positive leaf from its string
+    # must give the same terms, so the same fsum, exactly.
+    xi = MixtureMeasure(WeightedClass.with_index_code_weights(components))
+    report = exact_expectations(mu, xi, n)
+    terms = []
+    for bits in itertools.product((0, 1), repeat=n):
+        leaf = BinaryString(bits)
+        lm = mu.log_prefix_probability(leaf)
+        if lm > -math.inf:
+            lx = xi.log_prefix_probability(leaf)
+            terms.append(math.exp(lm) * (lm - lx))
+    assert report.telescoped_entropy == math.fsum(terms)
+
+
+class CountingMixture(MixtureMeasure):
+    """A mixture that counts the rule calls a walk makes on it."""
+
+    def __init__(self, weighted_class):
+        super().__init__(weighted_class)
+        self.calls = collections.Counter()
+
+    def split(self, state):
+        self.calls["split"] += 1
+        return super().split(state)
+
+    def p1(self, state):
+        self.calls["p1"] += 1
+        return super().p1(state)
+
+    def step(self, state, bit):
+        self.calls["step"] += 1
+        return super().step(state, bit)
 
 
 def two_bernoulli_setup():
@@ -205,27 +257,35 @@ class TestExactExpectations:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     @pytest.mark.parametrize("mu_index", [0, 1], ids=["bernoulli", "markov"])
     def test_telescoped_entropy_equals_the_per_string_route(self, mu_index, n):
-        # The engine prices each leaf with the prefix states it carried
-        # down the walk; pricing every mu-positive leaf from its string
-        # must give the same terms, so the same fsum, exactly.
-        components = [
-            BernoulliMeasure(0.3),
-            MarkovMeasure.random(2, np.random.default_rng(7)),
-            GameMeasure(dealer_rule("feedback-oppose")),
-            TableMeasure(approximate_mass(EchoMachine(), cap=8, fuel=16, depth=8)),
-            deterministic("alternating"),  # dies on the first bit off it
-        ]
-        xi = MixtureMeasure(WeightedClass.with_index_code_weights(components))
-        mu = components[mu_index]
-        report = exact_expectations(mu, xi, n)
-        terms = []
-        for bits in itertools.product((0, 1), repeat=n):
-            leaf = BinaryString(bits)
-            lm = mu.log_prefix_probability(leaf)
-            if lm > -math.inf:
-                lx = xi.log_prefix_probability(leaf)
-                terms.append(math.exp(lm) * (lm - lx))
-        assert report.telescoped_entropy == math.fsum(terms)
+        components = telescoped_components()
+        assert_telescoped_is_the_per_string_route(components[mu_index],
+                                                  components, n)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("mu_index", [0, 5],
+                             ids=["bernoulli", "register-table"])
+    def test_telescoped_entropy_prices_a_register_table(self, mu_index, n):
+        # Unlike the echo table's, the register table's conditionals
+        # are not all 1/2.  Its mass runs out below length 6, hence the
+        # short horizons.  Its bit-0 price, normalize(s, 0) rather than
+        # 1 - p1, is pinned in test_semimeasure.py.
+        components = telescoped_components() + [TableMeasure(
+            approximate_mass(RegisterMachine(), cap=16, fuel=64, depth=8)
+        )]
+        assert_telescoped_is_the_per_string_route(components[mu_index],
+                                                  components, n)
+
+    def test_the_walk_expands_each_node_once_and_never_steps(self):
+        # Nodes above depth n - 1 split, nodes at depth n - 1 read p1
+        # alone, and no leaf gets a rule state; under a full-support mu
+        # every node is visited.
+        n = 6
+        xi = CountingMixture(WeightedClass.with_index_code_weights(
+            telescoped_components()
+        ))
+        exact_expectations(BernoulliMeasure(0.3), xi, n)
+        assert xi.calls == {"split": 2 ** (n - 1) - 1, "p1": 2 ** (n - 1)}
+        assert xi.calls["step"] == 0
 
     def test_horizon_validation(self):
         mu, xi = two_bernoulli_setup()

@@ -406,6 +406,30 @@ class TestTableMeasure:
             )
             assert total == pytest.approx(measure.prefix_probability(s))
 
+    def test_each_bit_is_priced_by_its_own_normalized_mass(self):
+        # ln rho(s) chains normalize(prefix, bit) for both bits; 1 - p1
+        # for bit 0 differs from it in the last place on some of this
+        # table's conditionals, which an echo table (all 1/2) hides.
+        table = approximate_mass(RegisterMachine(), cap=16, fuel=64, depth=8)
+        measure = TableMeasure(table)
+        for length in range(7):
+            for bits in itertools.product((0, 1), repeat=length):
+                s = BinaryString(bits)
+                try:
+                    expected = 0.0
+                    for k, bit in enumerate(bits):
+                        p = normalize(table, s.prefix(k), bit)
+                        if p == 0.0:
+                            expected = -math.inf
+                            break
+                        expected += math.log(p)
+                except SemimeasureError:
+                    with pytest.raises(SemimeasureError,
+                                       match=NO_CONTINUATION_MESSAGE):
+                        measure.log_prefix_probability(s)
+                    continue
+                assert measure.log_prefix_probability(s) == expected
+
     def test_depth_guard(self):
         table = approximate_mass(EchoMachine(), cap=4, fuel=8, depth=3)
         measure = TableMeasure(table)

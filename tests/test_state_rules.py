@@ -9,6 +9,10 @@ here (the table entry for the last bits, the die the dealer's table picks).
 Predictors are checked against closed forms written here.  A context of
 probability zero raises on the rule and has no oracle value.
 
+split(state), the expansion a tree walk reads, must equal p1 and both
+steps, or raise what p1 raises, and the folded prefix rule must price
+rho(s) as the chain of the rule's conditionals does.
+
 The context route, conditional(context, bit), is derived once, on
 StateRule, for measures and predictors alike, and
 log_prefix_probability once, on SequenceMeasure, as the fold of a prefix
@@ -28,9 +32,11 @@ from seqpred.measures import (
     BinaryString,
     MarkovMeasure,
     MeasureCursor,
+    MeasureError,
     NullEventError,
     SequenceMeasure,
     StateRule,
+    chain_probability,
     deterministic,
 )
 from seqpred.numerics import TIE_PREDICTION
@@ -234,6 +240,62 @@ def test_predictor_state_rule_matches_closed_form(factory, oracle, rel, bits):
             cursor = cursor.advanced(bits[k])
 
 
+def program_mixture():
+    # "program:4" outputs one bit, so its p1 raises from the second bit.
+    return MixtureMeasure(WeightedClass.uniform([
+        BernoulliMeasure(0.6), deterministic("program:4"),
+    ]))
+
+
+# (id, factory) of every rule the exact walk may split: the measure and
+# predictor cases above, plus a generator that runs out of output.
+SPLIT_RULES = [(case[0], case[1]) for case in MEASURES] + [
+    (case[0], case[1]) for case in PREDICTORS
+] + [
+    ("deterministic-program", lambda: deterministic("program:4")),
+    ("mixture-with-program", program_mixture),
+]
+
+
+@pytest.mark.parametrize(
+    "factory", [case[1] for case in SPLIT_RULES],
+    ids=[case[0] for case in SPLIT_RULES],
+)
+@settings(max_examples=40, deadline=None)
+@given(bits=strings)
+def test_split_is_p1_and_both_steps(factory, bits):
+    rule = factory()
+    state = rule.start()
+    for k in range(len(bits) + 1):
+        try:
+            expected = (rule.p1(state), rule.step(state, 0),
+                        rule.step(state, 1))
+        except (MeasureError, SemimeasureError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                rule.split(state)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            return
+        assert rule.split(state) == expected
+        if k < len(bits):
+            state = rule.step(state, bits[k])
+
+
+@pytest.mark.parametrize(
+    "factory, longest",
+    [(case[1], case[4]) for case in MEASURES],
+    ids=[case[0] for case in MEASURES],
+)
+@settings(max_examples=40, deadline=None)
+@given(bits=strings)
+def test_folded_prefix_rule_prices_the_chain(factory, longest, bits):
+    measure = factory()
+    s = BinaryString(tuple(bits[:longest]))
+    assert measure.prefix_probability(s) == pytest.approx(
+        chain_probability(measure, s), rel=RATIO_REL
+    )
+
+
 def test_off_target_deterministic_state_is_dead():
     measure = deterministic("alternating")
     state = measure.step(measure.step(measure.start(), 0), 0)
@@ -287,7 +349,7 @@ def test_log_prefix_probability_is_defined_only_on_sequence_measure():
 def test_only_independent_pricing_defines_a_prefix_rule():
     found = {
         name
-        for attr in ("prefix_start", "prefix_step", "log_prefix")
+        for attr in ("prefix_start", "prefix_split", "log_prefix")
         for name in defining(SequenceMeasure, attr)
     }
     assert sorted(found) == [
