@@ -238,6 +238,11 @@ def cmd_simulate(args) -> int:
     config = cfg.load_config(args.config)
     mode, samples, seed = cfg.resolve_mode(config)
     if args.seed is not None:
+        if mode == "exact":
+            raise cfg.ConfigError(
+                "--seed applies to monte-carlo mode only; exact mode draws "
+                "no samples"
+            )
         seed = args.seed
     _weighted, xi, mu = cfg.mixture_from_config(config)
     rho = cfg.build_predictor(config["rho"]) if "rho" in config else None

@@ -155,8 +155,9 @@ def dealer_rule(name: str) -> DealerRule:
 class GameMeasure(SequenceMeasure):
     """Outcome distribution induced by a dealer rule and the two dice.
 
-    The state is the dealer's state; each state's P(white) is cached as a
-    float from the two dice.
+    The state is the dealer's state; each state's split, (P(white) as a
+    float from the two dice, next state after black, after white), is
+    precomputed from the rule's tables.
     """
 
     def __init__(self, rule: DealerRule, spec: GameSpec = GameSpec()):
@@ -164,16 +165,16 @@ class GameMeasure(SequenceMeasure):
         self.spec = spec
         self.name = f"game({rule.name})"
         white = {die: float(self.spec.white_probability(die)) for die in (1, 2)}
-        self._white = tuple(white[die] for die in rule.die)
+        self._splits = tuple(
+            (white[die], *after)
+            for die, after in zip(rule.die, rule.next_state)
+        )
 
     def start(self):
         return 0
 
-    def p1(self, state) -> float:
-        return self._white[state]
-
-    def step(self, state, bit: int):
-        return self.rule.next_state[state][bit]
+    def split(self, state):
+        return self._splits[state]
 
 
 def dealer_class(spec: GameSpec = GameSpec()) -> WeightedClass:
@@ -326,9 +327,10 @@ def play(
     running_profit = 0 if mode == "sampled" else 0.0
     running_errors = 0 if mode == "sampled" else 0.0
     for _ in range(n):
-        p_white = env.p1(env_state)
-        outcome = 1 if rng.random() < p_white else 0
-        call_white = predictor.p1(caller_state)
+        env_split = env.split(env_state)
+        outcome = 1 if rng.random() < env_split[0] else 0
+        caller_split = predictor.split(caller_state)
+        call_white = caller_split[0]
         if mode == "sampled":
             call = 1 if rng.random() < call_white else 0
             wrong = int(call != outcome)
@@ -341,8 +343,8 @@ def play(
         outcomes.append(outcome)
         profits.append(running_profit)
         errors.append(running_errors)
-        env_state = env.step(env_state, outcome)
-        caller_state = predictor.step(caller_state, outcome)
+        env_state = env_split[outcome + 1]
+        caller_state = caller_split[outcome + 1]
     return ProfitTrace(
         outcomes=tuple(outcomes),
         cumulative_profit=tuple(profits),

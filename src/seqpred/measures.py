@@ -1,12 +1,11 @@
 """Binary strings and probability measures over infinite bit sequences.
 
 A measure is a state-transition rule: start() is the state at the empty
-context, p1(state) = rho(1 | context) and step(state, bit) the state after
-one more bit, so conditioning is the rule replayed along the context.
-split(state) expands a state into (p1, state after 0, state after 1) at
-once, for a walk that reads both children; it is p1 and both steps by
-default, and a rule whose children share the work of its p1 (the
-mixture) builds them in one pass.  Prefix probabilities rho(s), with
+context and split(state) its one transition, (p1, state after 0, state
+after 1) with p1 = rho(1 | context), so conditioning is the rule
+replayed along the context.  p1(state) and step(state, bit) are read
+off split; only the mixture, whose walks often read p1 alone or one
+child, computes them on their own.  Prefix probabilities rho(s), with
 rho(empty) = 1 and rho(s0) + rho(s1) = rho(s), chain the same
 conditionals in log space so long horizons do not underflow.  Families
 with a closed form for rho(s) price it on their own, and the Bayes ratio
@@ -18,8 +17,8 @@ bit longer (after 0, after 1) and log_prefix(pstate) reads ln rho off
 it.  log_prefix_probability(s) folds that rule along s, and a walk over
 the context tree carries the price states down its branches, so every
 prefix costs one split of its parent.  By default the rule chains the
-state rule's conditionals; the families with a closed form override the
-prefix rule alone.
+state rule's conditionals, one split per state; the families with a
+closed form override the prefix rule alone.
 """
 
 from __future__ import annotations
@@ -93,11 +92,10 @@ EMPTY = BinaryString.empty()
 class StateRule(ABC):
     """The interface of measures and predictors: a rule read bit by bit.
 
-    start() is the state at the empty context, p1(state) is P(next bit
-    = 1) in a state, step(state, bit) the state after one more bit and
-    split(state) both children with p1; the context route,
-    conditional(context, bit), is derived here for measures and
-    predictors alike.
+    start() is the state at the empty context and split(state) its
+    transition, (P(next bit = 1), state after 0, state after 1); p1,
+    step and the context route, conditional(context, bit), are derived
+    here for measures and predictors alike.
     """
 
     @abstractmethod
@@ -105,16 +103,14 @@ class StateRule(ABC):
         ...
 
     @abstractmethod
-    def p1(self, state) -> float:
-        ...
-
-    @abstractmethod
-    def step(self, state, bit: int):
-        ...
-
     def split(self, state):
         """(p1, state after 0, state after 1): one state's expansion."""
-        return (self.p1(state), self.step(state, 0), self.step(state, 1))
+
+    def p1(self, state) -> float:
+        return self.split(state)[0]
+
+    def step(self, state, bit: int):
+        return self.split(state)[bit + 1]
 
     def state_after(self, bits):
         """The state after reading bits in order."""
@@ -149,13 +145,11 @@ class SequenceMeasure(StateRule):
         state, total = pstate
         if total == -math.inf:
             return (pstate, pstate)
-        p1 = self.p1(state)
+        p1, zero, one = self.split(state)
         p0 = 1.0 - p1
         return (
-            (self.step(state, 0), total + math.log(p0))
-            if p0 > 0.0 else DEAD_STATE,
-            (self.step(state, 1), total + math.log(p1))
-            if p1 > 0.0 else DEAD_STATE,
+            (zero, total + math.log(p0)) if p0 > 0.0 else DEAD_STATE,
+            (one, total + math.log(p1)) if p1 > 0.0 else DEAD_STATE,
         )
 
     def log_prefix(self, pstate) -> float:
@@ -225,6 +219,7 @@ class BernoulliMeasure(SequenceMeasure):
         self.name = name if name is not None else f"bernoulli({self.theta:g})"
         self._log_theta = math.log(self.theta)
         self._log_comp = math.log1p(-self.theta)
+        self._split = (self.theta, None, None)
 
     # The price state is (length, ones).
 
@@ -242,11 +237,8 @@ class BernoulliMeasure(SequenceMeasure):
     def start(self):
         return None
 
-    def p1(self, state) -> float:
-        return self.theta
-
-    def step(self, state, bit: int):
-        return None
+    def split(self, state):
+        return self._split
 
 
 class MarkovMeasure(SequenceMeasure):
@@ -279,21 +271,21 @@ class MarkovMeasure(SequenceMeasure):
         missing = [key for key in _patterns(order) if key not in normalized]
         if missing:
             raise MeasureError(f"Markov table is missing patterns: {missing}")
-        self._p1 = {
-            tuple(int(ch) for ch in key): value for key, value in normalized.items()
-        }
+        # The state is the window of the last min(position, order) bits,
+        # and each window's split is precomputed.
+        self._splits = {}
+        for key, value in normalized.items():
+            window = tuple(int(ch) for ch in key)
+            self._splits[window] = (
+                value, (window + (0,))[-order:], (window + (1,))[-order:],
+            )
         self.name = name if name is not None else f"markov{order}"
-
-    # The state is the window of the last min(position, order) bits.
 
     def start(self):
         return ()
 
-    def p1(self, state) -> float:
-        return self._p1[state]
-
-    def step(self, state, bit: int):
-        return (state + (bit,))[-self.order:]
+    def split(self, state):
+        return self._splits[state]
 
     @classmethod
     def random(cls, order: int, rng, low: float = 0.1, high: float = 0.9,
@@ -327,29 +319,21 @@ class DeterministicMeasure(SequenceMeasure):
             )
         return bit
 
-    # The state is the position on the target, or None once off it; it
-    # is the price state too.
+    # The state is the position on the target, or None once off it.
 
     def start(self):
         return 0
 
-    def p1(self, state) -> float:
+    def split(self, state):
         if state is None:
             raise NullEventError(NULL_EVENT_MESSAGE)
-        return 1.0 if self.target_bit(state) == 1 else 0.0
+        if self.target_bit(state) == 1:
+            return (1.0, None, state + 1)
+        return (0.0, state + 1, None)
 
     def step(self, state, bit: int):
-        if state is None or bit != self.target_bit(state):
-            return None
-        return state + 1
-
-    prefix_start = start
-
-    def prefix_split(self, pstate):
-        return (self.step(pstate, 0), self.step(pstate, 1))
-
-    def log_prefix(self, pstate) -> float:
-        return -math.inf if pstate is None else 0.0
+        # An off-target state stays off target rather than raising.
+        return None if state is None else self.split(state)[bit + 1]
 
 
 def named_generator(name: str, fuel: int = 100_000):

@@ -21,7 +21,7 @@ def logsumexp(values):
     m = max(vals)
     if m == NEG_INF:
         return NEG_INF
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    return m + math.log(sum([math.exp(v - m) for v in vals]))
 
 
 def kl_bernoulli(y: float, z: float) -> float:

@@ -74,8 +74,9 @@ def step_terms(y: float, z: float, r: float | None = None, weight: float = 1.0):
 class Predictor(StateRule):
     """Assigns a probability to the next bit being 1 given the context.
 
-    Predictors are state rules like measures, so StateRule's
-    conditional(context, bit) is their context route too.
+    Predictors are state rules like measures: each defines start() and
+    split(state), and StateRule derives p1, step and the context route,
+    conditional(context, bit), from them.
     """
 
     name: str = "predictor"
@@ -112,11 +113,8 @@ class MeasurePredictor(Predictor):
     def start(self):
         return self.measure.start()
 
-    def p1(self, state) -> float:
-        return self.measure.p1(state)
-
-    def step(self, state, bit: int):
-        return self.measure.step(state, bit)
+    def split(self, state):
+        return self.measure.split(state)
 
 
 class ConstantPredictor(Predictor):
@@ -127,15 +125,13 @@ class ConstantPredictor(Predictor):
             raise PredictionError(f"probability outside [0, 1]: {p}")
         self.p = float(p)
         self.name = name if name is not None else f"constant({self.p:g})"
+        self._split = (self.p, None, None)
 
     def start(self):
         return None
 
-    def p1(self, state) -> float:
-        return self.p
-
-    def step(self, state, bit: int):
-        return None
+    def split(self, state):
+        return self._split
 
 
 class LaplaceRulePredictor(Predictor):
@@ -146,13 +142,13 @@ class LaplaceRulePredictor(Predictor):
     def start(self):
         return (0, 0)
 
-    def p1(self, state) -> float:
+    def split(self, state):
         length, ones = state
-        return (ones + 1.0) / (length + 2.0)
-
-    def step(self, state, bit: int):
-        length, ones = state
-        return (length + 1, ones + bit)
+        return (
+            (ones + 1.0) / (length + 2.0),
+            (length + 1, ones),
+            (length + 1, ones + 1),
+        )
 
 
 class ThresholdPredictor(Predictor):
@@ -169,11 +165,9 @@ class ThresholdPredictor(Predictor):
     def start(self):
         return self.base.start()
 
-    def p1(self, state) -> float:
-        return float(threshold_step(self.base.p1(state) - 0.5))
-
-    def step(self, state, bit: int):
-        return self.base.step(state, bit)
+    def split(self, state):
+        p1, zero, one = self.base.split(state)
+        return (float(threshold_step(p1 - 0.5)), zero, one)
 
 
 def deterministic_wrap(source) -> ThresholdPredictor:

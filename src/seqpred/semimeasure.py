@@ -316,9 +316,10 @@ class TableMeasure(SequenceMeasure):
     def start(self):
         return EMPTY
 
-    def p1(self, state) -> float:
-        return normalize(self.table, state, 1)
-
-    def step(self, state, bit: int):
-        return state.extended(bit)
+    def split(self, state):
+        return (
+            normalize(self.table, state, 1),
+            state.extended(0),
+            state.extended(1),
+        )
 

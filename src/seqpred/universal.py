@@ -4,6 +4,9 @@ The mixture assigns xi(s) = sum_i w_i nu_i(s) / sum_i w_i, so xi(empty) = 1
 and every component is majorized: w_i * nu_i(s) <= (sum w) * xi(s).  The
 negative log of a component's normalized prior weight acts as its
 description-length surrogate in bits.
+
+The mixture is a state rule over its components' states: its split, p1
+and step each read one split per live component.
 """
 
 from __future__ import annotations
@@ -134,7 +137,10 @@ class MixtureMeasure(SequenceMeasure):
     # The state pairs each component's state with its weighted log mass
     # w_i nu_i(context) in log space.  A component that died on the path
     # (a deterministic measure off its target) keeps mass -inf and is
-    # never stepped again.
+    # never stepped again.  p1 and step are written out rather than read
+    # off split: the exact walk's last level reads p1 alone and Monte
+    # Carlo mostly steps one child, so a split would build children no
+    # one reads.  Each reads every live component's split once.
 
     def start(self):
         return tuple(
@@ -151,7 +157,7 @@ class MixtureMeasure(SequenceMeasure):
             if term == -math.inf:
                 num_terms.append(-math.inf)
                 continue
-            p = m.p1(part)
+            p = m.split(part)[0]
             num_terms.append(term + math.log(p) if p > 0.0 else -math.inf)
         return math.exp(logsumexp(num_terms) - den)
 
@@ -161,13 +167,12 @@ class MixtureMeasure(SequenceMeasure):
             if term == -math.inf:
                 new_state.append(DEAD_STATE)
                 continue
-            p = m.p1(part)
-            if bit == 0:
-                p = 1.0 - p
+            row = m.split(part)
+            p = row[0] if bit == 1 else 1.0 - row[0]
             if p <= 0.0:
                 new_state.append(DEAD_STATE)
             else:
-                new_state.append((m.step(part, bit), term + math.log(p)))
+                new_state.append((row[bit + 1], term + math.log(p)))
         return tuple(new_state)
 
     def split(self, state):
@@ -184,15 +189,11 @@ class MixtureMeasure(SequenceMeasure):
                 zeros.append(DEAD_STATE)
                 ones.append(DEAD_STATE)
                 continue
-            p = m.p1(part)
-            ones.append(
-                (m.step(part, 1), term + math.log(p))
-                if p > 0.0 else DEAD_STATE
-            )
+            p, zero, one = m.split(part)
+            ones.append((one, term + math.log(p)) if p > 0.0 else DEAD_STATE)
             p = 1.0 - p
             zeros.append(
-                (m.step(part, 0), term + math.log(p))
-                if p > 0.0 else DEAD_STATE
+                (zero, term + math.log(p)) if p > 0.0 else DEAD_STATE
             )
         p1 = math.exp(logsumexp([term for _, term in ones]) - den)
         return (p1, tuple(zeros), tuple(ones))

@@ -384,6 +384,19 @@ class TestSimulate:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_seed_flag_in_exact_mode_is_a_config_error(self, tmp_path, capsys):
+        # Exact mode draws no samples, so a seed it would ignore is refused.
+        config = str(CONFIGS / "two_bernoulli.json")
+        out = tmp_path / "out"
+        code = run([
+            "simulate", "--config", config, "--out", str(out), "--seed", "5",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "config error" in captured.err and "--seed" in captured.err
+        assert not out.exists()
+
 
 def monte_carlo_config(**overrides):
     fields = {"mode": "monte-carlo", "samples": 500, "seed": 3,

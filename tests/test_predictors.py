@@ -287,6 +287,22 @@ class TestExactExpectations:
         assert xi.calls == {"split": 2 ** (n - 1) - 1, "p1": 2 ** (n - 1)}
         assert xi.calls["step"] == 0
 
+    def test_wrapped_mixture_splits_in_one_pass(self):
+        # The measure-backed and threshold wrappers forward split, so a
+        # walk over a thresholded mixture reaches the mixture's one-pass
+        # split rather than its p1 and two steps.
+        xi = CountingMixture(WeightedClass.with_index_code_weights(
+            telescoped_components()
+        ))
+        rho = ThresholdPredictor(MeasurePredictor(xi))
+        state = xi.step(xi.start(), 1)
+        xi.calls.clear()
+        p1, zero, one = rho.split(state)
+        assert xi.calls == {"split": 1}
+        expected = MixtureMeasure.split(xi, state)
+        assert (zero, one) == expected[1:]
+        assert p1 == (1.0 if expected[0] > 0.5 else 0.0)
+
     def test_horizon_validation(self):
         mu, xi = two_bernoulli_setup()
         with pytest.raises(PredictionError, match="horizon must be >= 1"):

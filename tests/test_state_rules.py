@@ -13,11 +13,12 @@ split(state), the expansion a tree walk reads, must equal p1 and both
 steps, or raise what p1 raises, and the folded prefix rule must price
 rho(s) as the chain of the rule's conditionals does.
 
-The context route, conditional(context, bit), is derived once, on
-StateRule, for measures and predictors alike, and
-log_prefix_probability once, on SequenceMeasure, as the fold of a prefix
-rule that only the families pricing rho(s) on their own override; the
-design tests at the end keep it that way.
+A rule defines start() and split() alone: p1, step and the context
+route, conditional(context, bit), are derived once, on StateRule, for
+measures and predictors alike (the mixture keeps its own p1 and step),
+and log_prefix_probability once, on SequenceMeasure, as the fold of a
+prefix rule that only the families pricing rho(s) on their own
+override; the design tests at the end keep it that way.
 """
 
 import math
@@ -353,18 +354,34 @@ def test_only_independent_pricing_defines_a_prefix_rule():
         for name in defining(SequenceMeasure, attr)
     }
     assert sorted(found) == [
-        "BernoulliMeasure", "DeterministicMeasure", "MixtureMeasure",
-        "TableMeasure",
+        "BernoulliMeasure", "MixtureMeasure", "TableMeasure",
     ]
 
 
+def test_only_the_mixture_computes_p1_and_step_apart_from_split():
+    # Every other rule reads both off its split, so no class can inherit
+    # a step that disagrees with its split; the deterministic step only
+    # keeps an off-target state dead instead of raising.  Rules the
+    # tests define (counting subclasses) are left out.
+    def package_defining(attr):
+        return sorted(
+            cls.__name__ for cls in family(StateRule)
+            if attr in vars(cls) and cls.__module__.startswith("seqpred.")
+        )
+
+    assert package_defining("p1") == ["MixtureMeasure"]
+    assert package_defining("step") == [
+        "DeterministicMeasure", "MixtureMeasure",
+    ]
+    assert StateRule.__abstractmethods__ == {"start", "split"}
+
+
 @pytest.mark.parametrize("base", [SequenceMeasure, Predictor])
-@pytest.mark.parametrize("missing", ["start", "p1", "step"])
-def test_a_rule_without_start_p1_and_step_cannot_be_built(base, missing):
+@pytest.mark.parametrize("missing", ["start", "split"])
+def test_a_rule_without_start_or_split_cannot_be_built(base, missing):
     methods = {
         "start": lambda self: None,
-        "p1": lambda self, state: 0.5,
-        "step": lambda self, state, bit: None,
+        "split": lambda self, state: (0.5, None, None),
     }
     type("Complete", (base,), methods)()
     del methods[missing]
