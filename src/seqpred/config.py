@@ -272,6 +272,8 @@ def resolve_horizons(config: dict) -> list[int]:
     for h in raw:
         if not _is_int(h) or h < 1:
             raise ConfigError(f"horizons must be positive integers, got {h!r}")
+        if h in horizons:
+            raise ConfigError(f"horizons must not repeat, got {h} twice")
         horizons.append(h)
     return horizons
 

@@ -4,9 +4,9 @@ A measure is a state-transition rule: start() is the state at the empty
 context and split(state) its one transition, (p1, state after 0, state
 after 1) with p1 = rho(1 | context), so conditioning is the rule
 replayed along the context.  p1(state) and step(state, bit) are read
-off split; only the mixture, whose walks often read p1 alone or one
-child, computes them on their own.  Prefix probabilities rho(s), with
-rho(empty) = 1 and rho(s0) + rho(s1) = rho(s), chain the same
+off split for every family, the mixture included, so both raise where
+split does: past a null event, NullEventError.  Prefix probabilities
+rho(s), with rho(empty) = 1 and rho(s0) + rho(s1) = rho(s), chain the same
 conditionals in log space so long horizons do not underflow.  Families
 with a closed form for rho(s) price it on their own, and the Bayes ratio
 rho(b | s) = rho(sb) / rho(s) over it is the cross-check on the rule.
@@ -28,7 +28,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 NULL_EVENT_MESSAGE = "conditioning on null event"
-# (state, log mass) of a branch with zero probability: no state, -inf.
+# The default prefix rule's (state, log total) once a bit has
+# probability zero: no state, -inf.
 DEAD_STATE = (None, -math.inf)
 
 
@@ -330,10 +331,6 @@ class DeterministicMeasure(SequenceMeasure):
         if self.target_bit(state) == 1:
             return (1.0, None, state + 1)
         return (0.0, state + 1, None)
-
-    def step(self, state, bit: int):
-        # An off-target state stays off target rather than raising.
-        return None if state is None else self.split(state)[bit + 1]
 
 
 def named_generator(name: str, fuel: int = 100_000):

@@ -254,10 +254,8 @@ class _NoPredictor:
 
     name = None
 
-    def start(self, *_):
+    def start(self):
         return None
-
-    p1 = step = start
 
     def split(self, _state):
         return (None, None, None)
@@ -303,13 +301,11 @@ def exact_expectations(
 
     Walks the full depth-n binary tree, weighting each context by its
     informed probability and pruning zero-probability branches.  Each
-    node above depth n - 1 is expanded once, by split() on mu, xi and
-    rho, into p1 and both children's states; a node at depth n - 1
-    reads p1 alone, since its children are leaves and a leaf needs no
-    state.  Also sums the entropy total from the leaf probability
-    ratios (the telescoped form), priced by each measure's own prefix
-    rule carried down the same walk and split at depth n - 1 into both
-    leaves' prices, and insists the two routes agree to 1e-9.
+    node is expanded once, by split() on mu, xi and rho, into p1 and
+    both children's states.  Also sums the entropy total from the leaf
+    probability ratios (the telescoped form), priced by each measure's
+    own prefix rule carried down the same walk and split at depth n - 1
+    into both leaves' prices, and insists the two routes agree to 1e-9.
     """
     rho = _walked(rho, n)
     if n > EXACT_HORIZON_CAP:
@@ -322,13 +318,10 @@ def exact_expectations(
     last = n - 1
 
     def walk(k, log_mu, mu_state, xi_state, rho_state, mu_price, xi_price):
-        if k < last:
-            mu_split = mu.split(mu_state)
-            xi_split = xi.split(xi_state)
-            rho_split = rho.split(rho_state)
-            y, z, r = mu_split[0], xi_split[0], rho_split[0]
-        else:
-            y, z, r = mu.p1(mu_state), xi.p1(xi_state), rho.p1(rho_state)
+        mu_split = mu.split(mu_state)
+        xi_split = xi.split(xi_state)
+        rho_split = rho.split(rho_state)
+        y, z, r = mu_split[0], xi_split[0], rho_split[0]
         for row, term in zip(steps, step_terms(y, z, r, math.exp(log_mu))):
             if term is not None:
                 row[k] += term
@@ -389,21 +382,28 @@ def monte_carlo_expectations(
         raise PredictionError("monte carlo mode requires a seed")
     rng = np.random.default_rng(seed)
     # ids[i] is the rank of path i among the distinct paths sampled so
-    # far, in lexicographic order, and states[id] its cursor states; an
-    # id never exceeds the sample count, so any horizon fits in int64.
+    # far, in lexicographic order, and states[id] its (mu, xi, rho)
+    # states; an id never exceeds the sample count, so any horizon fits
+    # in int64.  Each step splits every distinct prefix once, and the
+    # sampled children take their states from those splits.
     ids = np.zeros(samples, dtype=np.int64)
     states = [(mu.start(), xi.start(), rho.start())]
     per_path = np.zeros((len(_STEP_FIELDS), samples))
     step_means = [[] for _ in _STEP_FIELDS]
 
     for _ in range(n):
-        rows = []
-        y_vals = np.empty(len(states))
-        for idx, (mu_state, xi_state, rho_state) in enumerate(states):
-            y = y_vals[idx] = mu.p1(mu_state)
-            rows.append(step_terms(y, xi.p1(xi_state), rho.p1(rho_state)))
+        splits = [
+            (mu.split(mu_state), xi.split(xi_state), rho.split(rho_state))
+            for mu_state, xi_state, rho_state in states
+        ]
+        y_vals = np.array(
+            [mu_split[0] for mu_split, _, _ in splits], dtype=float
+        )
         # An absent general term becomes NaN here; _report drops it.
-        values = np.array(rows, dtype=float).T
+        values = np.array([
+            step_terms(mu_split[0], xi_split[0], rho_split[0])
+            for mu_split, xi_split, rho_split in splits
+        ], dtype=float).T
         for sums, means, column in zip(per_path, step_means, values):
             gathered = column[ids]
             sums += gathered
@@ -411,16 +411,13 @@ def monte_carlo_expectations(
         draws = rng.random(samples)
         bits = (draws < y_vals[ids]).astype(np.int64)
         children, ids = np.unique(ids * 2 + bits, return_inverse=True)
-        next_states = []
+        states = []
         for child in children.tolist():
-            mu_state, xi_state, rho_state = states[child >> 1]
+            mu_split, xi_split, rho_split = splits[child >> 1]
             bit = child & 1
-            next_states.append((
-                mu.step(mu_state, bit),
-                xi.step(xi_state, bit),
-                rho.step(rho_state, bit),
-            ))
-        states = next_states
+            states.append(
+                (mu_split[bit + 1], xi_split[bit + 1], rho_split[bit + 1])
+            )
 
     std_errors = {
         name: float(sums.std(ddof=1) / math.sqrt(samples))

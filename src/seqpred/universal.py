@@ -5,8 +5,9 @@ and every component is majorized: w_i * nu_i(s) <= (sum w) * xi(s).  The
 negative log of a component's normalized prior weight acts as its
 description-length surrogate in bits.
 
-The mixture is a state rule over its components' states: its split, p1
-and step each read one split per live component.
+The mixture is a state rule over its components' states like every
+family: split, its one transition, reads one split per live component,
+and p1 and step are read off it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 
 from .measures import (
     BinaryString,
-    DEAD_STATE,
     MeasureError,
     NullEventError,
     NULL_EVENT_MESSAGE,
@@ -24,6 +24,8 @@ from .measures import (
 from .numerics import logsumexp
 
 KRAFT_TOLERANCE = 1e-12
+# The split of a dead component: no mass goes to either child.
+_DEAD = (0.0, None, None)
 
 
 class ClassError(MeasureError):
@@ -134,69 +136,37 @@ class MixtureMeasure(SequenceMeasure):
         ]
         return logsumexp(terms) - self._log_weight_sum
 
-    # The state pairs each component's state with its weighted log mass
-    # w_i nu_i(context) in log space.  A component that died on the path
-    # (a deterministic measure off its target) keeps mass -inf and is
-    # never stepped again.  p1 and step are written out rather than read
-    # off split: the exact walk's last level reads p1 alone and Monte
-    # Carlo mostly steps one child, so a split would build children no
-    # one reads.  Each reads every live component's split once.
+    # The state is two tuples, the components' states and their
+    # weighted log masses w_i nu_i(context) in log space.  A component
+    # that died on the path (a deterministic measure off its target)
+    # keeps mass -inf and is never split again: it splits as _DEAD, into
+    # two dead children.  split is the mixture's one transition; it
+    # reads every live component's split once, and the bit-1 child's
+    # masses are p1's numerator terms.
 
     def start(self):
-        return tuple(
-            (m.start(), lw)
-            for (m, _), lw in zip(self.weighted_class.components, self._log_weights)
-        )
-
-    def p1(self, state) -> float:
-        den = logsumexp([term for _, term in state])
-        if den == -math.inf:
-            raise NullEventError(NULL_EVENT_MESSAGE)
-        num_terms = []
-        for m, (part, term) in zip(self._measures, state):
-            if term == -math.inf:
-                num_terms.append(-math.inf)
-                continue
-            p = m.split(part)[0]
-            num_terms.append(term + math.log(p) if p > 0.0 else -math.inf)
-        return math.exp(logsumexp(num_terms) - den)
-
-    def step(self, state, bit: int):
-        new_state = []
-        for m, (part, term) in zip(self._measures, state):
-            if term == -math.inf:
-                new_state.append(DEAD_STATE)
-                continue
-            row = m.split(part)
-            p = row[0] if bit == 1 else 1.0 - row[0]
-            if p <= 0.0:
-                new_state.append(DEAD_STATE)
-            else:
-                new_state.append((row[bit + 1], term + math.log(p)))
-        return tuple(new_state)
+        return (tuple(m.start() for m in self._measures), self._log_weights)
 
     def split(self, state):
-        """p1 and both children in one pass over the components: the
-        bit-1 child's log masses are p1's numerator terms, so every
-        float is the one p1 and step compute."""
-        den = logsumexp([term for _, term in state])
+        parts, terms = state
+        den = logsumexp(terms)
         if den == -math.inf:
             raise NullEventError(NULL_EVENT_MESSAGE)
-        zeros = []
-        ones = []
-        for m, (part, term) in zip(self._measures, state):
-            if term == -math.inf:
-                zeros.append(DEAD_STATE)
-                ones.append(DEAD_STATE)
-                continue
-            p, zero, one = m.split(part)
-            ones.append((one, term + math.log(p)) if p > 0.0 else DEAD_STATE)
-            p = 1.0 - p
-            zeros.append(
-                (zero, term + math.log(p)) if p > 0.0 else DEAD_STATE
+        zero_parts, zero_terms, one_parts, one_terms = [], [], [], []
+        for m, part, term in zip(self._measures, parts, terms):
+            p, zero, one = m.split(part) if term > -math.inf else _DEAD
+            zero_parts.append(zero)
+            zero_terms.append(
+                term + math.log(1.0 - p) if p < 1.0 else -math.inf
             )
-        p1 = math.exp(logsumexp([term for _, term in ones]) - den)
-        return (p1, tuple(zeros), tuple(ones))
+            one_parts.append(one)
+            one_terms.append(term + math.log(p) if p > 0.0 else -math.inf)
+        p1 = math.exp(logsumexp(one_terms) - den)
+        return (
+            p1,
+            (tuple(zero_parts), tuple(zero_terms)),
+            (tuple(one_parts), tuple(one_terms)),
+        )
 
     def posterior(self, context: BinaryString):
         """Posterior component weights given the observed context."""

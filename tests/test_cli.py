@@ -520,6 +520,10 @@ class TestMalformedFields:
             ("verify-bounds", two_bernoulli_config(game={}), []),
         "verify-horizons-repeated":
             ("verify-bounds", two_bernoulli_config(horizons=[2, 2]), []),
+        "simulate-horizons-repeated":
+            ("simulate", two_bernoulli_config(horizons=[4, 4]), []),
+        "simulate-monte-carlo-horizons-repeated":
+            ("simulate", monte_carlo_config(horizons=[4, 6, 4]), []),
         "simulate-exact-horizon-beyond-cap":
             ("simulate", two_bernoulli_config(horizons=[4, 20]), []),
         "verify-short-program": ("verify-bounds", SHORT_PROGRAM, []),
@@ -576,6 +580,18 @@ class TestMalformedFields:
         code = run(["simulate", "--config", config, "--out", str(tmp_path)])
         assert code == 2
         assert "rho.measure.theta must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+    def test_repeated_horizon_names_horizons(self, tmp_path, capsys, command):
+        # simulate once ran such a horizon twice, the second run's
+        # artifacts overwriting the first's.
+        config = write_config(tmp_path, two_bernoulli_config(horizons=[4, 4]))
+        code = run([command, "--config", config, "--out", str(tmp_path)])
+        assert code == 2
+        assert (
+            "config error: horizons must not repeat, got 4 twice"
+            in capsys.readouterr().err
+        )
 
     def test_non_finite_explore_pair_names_its_path(self, tmp_path, capsys):
         config = write_config(

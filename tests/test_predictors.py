@@ -113,7 +113,8 @@ def assert_telescoped_is_the_per_string_route(mu, components, n):
 
 
 class CountingMixture(MixtureMeasure):
-    """A mixture that counts the rule calls a walk makes on it."""
+    """A mixture that counts the transitions a walk makes on it: p1 and
+    step are read off split, so counting split counts every rule read."""
 
     def __init__(self, weighted_class):
         super().__init__(weighted_class)
@@ -123,13 +124,18 @@ class CountingMixture(MixtureMeasure):
         self.calls["split"] += 1
         return super().split(state)
 
-    def p1(self, state):
-        self.calls["p1"] += 1
-        return super().p1(state)
 
-    def step(self, state, bit):
-        self.calls["step"] += 1
-        return super().step(state, bit)
+class CountingTable(TableMeasure):
+    """A table measure that counts the contexts it is split at; each
+    split normalizes the table once."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.split_at = collections.Counter()
+
+    def split(self, state):
+        self.split_at[state] += 1
+        return super().split(state)
 
 
 def two_bernoulli_setup():
@@ -276,21 +282,20 @@ class TestExactExpectations:
                                                   components, n)
 
     def test_the_walk_expands_each_node_once_and_never_steps(self):
-        # Nodes above depth n - 1 split, nodes at depth n - 1 read p1
-        # alone, and no leaf gets a rule state; under a full-support mu
-        # every node is visited.
+        # Every node above the leaves splits once, and a leaf is never
+        # split: under a full-support mu that is the 2^n - 1 nodes of
+        # depth below n.  Any p1 or step read would add a split.
         n = 6
         xi = CountingMixture(WeightedClass.with_index_code_weights(
             telescoped_components()
         ))
         exact_expectations(BernoulliMeasure(0.3), xi, n)
-        assert xi.calls == {"split": 2 ** (n - 1) - 1, "p1": 2 ** (n - 1)}
-        assert xi.calls["step"] == 0
+        assert xi.calls == {"split": 2 ** n - 1}
 
     def test_wrapped_mixture_splits_in_one_pass(self):
         # The measure-backed and threshold wrappers forward split, so a
-        # walk over a thresholded mixture reaches the mixture's one-pass
-        # split rather than its p1 and two steps.
+        # walk over a thresholded mixture reads one mixture split per
+        # node.
         xi = CountingMixture(WeightedClass.with_index_code_weights(
             telescoped_components()
         ))
@@ -396,6 +401,26 @@ class TestMonteCarlo:
         for name, exact in self.LATTICE_N200.items():
             se = mc.std_errors[name]
             assert abs(mc.total(name) - exact) <= 4 * se + 1e-12, name
+
+    def test_splits_each_distinct_sampled_prefix_once(self):
+        # mu is also a component of xi, so each sampled prefix is split
+        # once for mu and once for xi, and xi itself once: no rule is
+        # read through p1 and then step.  2,000 samples reach all 255
+        # contexts shorter than 8 bits.
+        n = 8
+        mu = CountingTable(
+            approximate_mass(EchoMachine(), cap=10, fuel=64, depth=9)
+        )
+        xi = CountingMixture(
+            WeightedClass.uniform([mu, BernoulliMeasure(0.3)])
+        )
+        monte_carlo_expectations(mu, xi, n, samples=2000, seed=1)
+        contexts = [
+            BinaryString(bits)
+            for k in range(n) for bits in itertools.product((0, 1), repeat=k)
+        ]
+        assert mu.split_at == {context: 2 for context in contexts}
+        assert xi.calls == {"split": len(contexts)}
 
     def test_reproducible(self):
         mu, xi = two_bernoulli_setup()

@@ -15,10 +15,11 @@ rho(s) as the chain of the rule's conditionals does.
 
 A rule defines start() and split() alone: p1, step and the context
 route, conditional(context, bit), are derived once, on StateRule, for
-measures and predictors alike (the mixture keeps its own p1 and step),
-and log_prefix_probability once, on SequenceMeasure, as the fold of a
-prefix rule that only the families pricing rho(s) on their own
-override; the design tests at the end keep it that way.
+measures and predictors alike, the mixture included, so stepping past
+a null event raises as p1 there does; log_prefix_probability is
+derived once, on SequenceMeasure, as the fold of a prefix rule that
+only the families pricing rho(s) on their own override; the design
+tests at the end keep it that way.
 """
 
 import math
@@ -34,6 +35,7 @@ from seqpred.measures import (
     MarkovMeasure,
     MeasureCursor,
     MeasureError,
+    NULL_EVENT_MESSAGE,
     NullEventError,
     SequenceMeasure,
     StateRule,
@@ -214,7 +216,11 @@ def test_measure_state_rule_matches_oracle(factory, oracle_of, rel, longest,
             assert cursor.conditional(1) == stepped
             assert cursor.conditional(0) == 1.0 - stepped
         if k < len(bits):
-            state = measure.step(state, bits[k])
+            state = outcome(lambda: measure.step(state, bits[k]))
+            if state is NULL:
+                # A step raises exactly where p1 does: past a null event.
+                assert stepped == NULL
+                break
             cursor = cursor.advanced(bits[k])
 
 
@@ -305,18 +311,40 @@ def test_off_target_deterministic_state_is_dead():
         measure.p1(state)
     with pytest.raises(NullEventError):
         measure.conditional(BinaryString((0, 0)), 1)
-    assert measure.step(state, 1) is None
+    for bit in (0, 1):
+        with pytest.raises(NullEventError) as raised:
+            measure.step(state, bit)
+        assert str(raised.value) == NULL_EVENT_MESSAGE
 
 
 def test_mixture_keeps_a_dead_component_at_minus_infinity():
     xi = dying_mixture()
-    state = xi.step(xi.step(xi.start(), 1), 1)
-    (_, bernoulli_mass), (dead, dead_mass), _ = state
-    assert dead is None and dead_mass == -math.inf
-    assert math.isfinite(bernoulli_mass)
-    assert xi.p1(state) == pytest.approx(
+    parts, masses = xi.step(xi.step(xi.start(), 1), 1)
+    assert parts[1] is None and masses[1] == -math.inf
+    assert math.isfinite(masses[0]) and math.isfinite(masses[2])
+    assert xi.p1((parts, masses)) == pytest.approx(
         ratio_oracle(xi)([1, 1]), rel=RATIO_REL
     )
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: deterministic("alternating"),
+    lambda: MixtureMeasure(WeightedClass.uniform(
+        [deterministic("ones"), deterministic("alternating")]
+    )),
+], ids=["deterministic", "mixture"])
+def test_conditional_past_a_null_event_raises_null_event_error(factory):
+    # 0, 0 is null under both rules; every longer context, and the bit
+    # after it, raises the same error that reading p1 at it raises.
+    rule = factory()
+    null = (0, 0)
+    assert rule.conditional(BinaryString(null[:1]), 0) == 0.0
+    for tail in ((), (0,), (1,), (1, 0, 1)):
+        context = BinaryString(null + tail)
+        for bit in (0, 1):
+            with pytest.raises(NullEventError) as raised:
+                rule.conditional(context, bit)
+            assert str(raised.value) == NULL_EVENT_MESSAGE
 
 
 def test_generic_cursors_are_the_only_cursor_classes():
@@ -358,10 +386,9 @@ def test_only_independent_pricing_defines_a_prefix_rule():
     ]
 
 
-def test_only_the_mixture_computes_p1_and_step_apart_from_split():
-    # Every other rule reads both off its split, so no class can inherit
-    # a step that disagrees with its split; the deterministic step only
-    # keeps an off-target state dead instead of raising.  Rules the
+def test_only_state_rule_defines_p1_and_step():
+    # Every rule, the mixture included, reads both off its split, so no
+    # class can inherit a step that disagrees with its split.  Rules the
     # tests define (counting subclasses) are left out.
     def package_defining(attr):
         return sorted(
@@ -369,10 +396,9 @@ def test_only_the_mixture_computes_p1_and_step_apart_from_split():
             if attr in vars(cls) and cls.__module__.startswith("seqpred.")
         )
 
-    assert package_defining("p1") == ["MixtureMeasure"]
-    assert package_defining("step") == [
-        "DeterministicMeasure", "MixtureMeasure",
-    ]
+    assert package_defining("p1") == []
+    assert package_defining("step") == []
+    assert {"p1", "step"} <= vars(StateRule).keys()
     assert StateRule.__abstractmethods__ == {"start", "split"}
 
 
