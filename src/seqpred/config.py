@@ -30,8 +30,9 @@ Measure specs: {"type": "bernoulli", "theta": p}, {"type": "markov",
 "zeros" | "program:<hex>", "fuel": steps} or {"type": "game", "rule":
 name, "spec": {...}}.  Predictor specs: {"type": "laplace"}, {"type":
 "constant", "p": p}, {"type": "measure", "measure": spec}, each
-optionally wrapped as {"type": "threshold", "base": spec}.  A spec of
-either kind holds no other keys.
+optionally wrapped as {"type": "threshold", "base": spec}; a measure
+predictor is the measure itself, since any state rule predicts.  A spec
+of either kind holds no other keys.
 """
 
 from __future__ import annotations
@@ -47,13 +48,12 @@ from .measures import (
     MarkovMeasure,
     MeasureError,
     SequenceMeasure,
+    StateRule,
     deterministic,
 )
 from .predictors import (
     ConstantPredictor,
     LaplaceRulePredictor,
-    MeasurePredictor,
-    Predictor,
     ThresholdPredictor,
 )
 from .universal import MixtureMeasure, WeightedClass
@@ -232,7 +232,7 @@ def resolve_true_measure(config: dict, weighted: WeightedClass) -> SequenceMeasu
     return build_measure(selector, "true_measure")
 
 
-def build_predictor(spec, where: str = "rho") -> Predictor:
+def build_predictor(spec, where: str = "rho") -> StateRule:
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object, got {spec!r}")
     kind = _require(spec, "type", where)
@@ -245,10 +245,8 @@ def build_predictor(spec, where: str = "rho") -> Predictor:
         if kind == "constant":
             return ConstantPredictor(_real_field(spec, "p", where))
         if kind == "measure":
-            return MeasurePredictor(
-                build_measure(
-                    _require(spec, "measure", where), f"{where}.measure"
-                )
+            return build_measure(
+                _require(spec, "measure", where), f"{where}.measure"
             )
         # kind == "threshold"
         return ThresholdPredictor(
@@ -268,14 +266,14 @@ def resolve_horizons(config: dict) -> list[int]:
         raw = list(range(start, stop + 1, step))
     if not isinstance(raw, list) or not raw:
         raise ConfigError("horizons must be a nonempty list or a range object")
-    horizons = []
+    seen = set()
     for h in raw:
         if not _is_int(h) or h < 1:
             raise ConfigError(f"horizons must be positive integers, got {h!r}")
-        if h in horizons:
+        if h in seen:
             raise ConfigError(f"horizons must not repeat, got {h} twice")
-        horizons.append(h)
-    return horizons
+        seen.add(h)
+    return list(raw)
 
 
 def resolve_mode(config: dict):

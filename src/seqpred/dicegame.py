@@ -30,13 +30,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import numerics
-from .measures import MeasureError, SequenceMeasure
+from .measures import MeasureError, SequenceMeasure, StateRule
 from .predictors import (
     ConstantPredictor,
     LaplaceRulePredictor,
-    MeasurePredictor,
-    Predictor,
-    deterministic_wrap,
+    ThresholdPredictor,
 )
 from .universal import MixtureMeasure, WeightedClass
 
@@ -193,24 +191,17 @@ def rule_mixture(spec: GameSpec = GameSpec()) -> MixtureMeasure:
     return MixtureMeasure(dealer_class(spec), name="dealer-mixture")
 
 
-def _informed(rule: DealerRule, spec: GameSpec) -> MeasurePredictor:
-    return MeasurePredictor(GameMeasure(rule, spec), name="informed")
-
-
-def _mixture(rule: DealerRule, spec: GameSpec) -> MeasurePredictor:
-    return MeasurePredictor(rule_mixture(spec), name="mixture")
-
-
-# The callers a game seats, by name: each builds a predictor from the
-# dealer rule and the spec.  The dicegame subcommand seats the first
-# five unless its config names others.
+# The callers a game seats, by name: each builds a state rule from the
+# dealer rule and the spec; the informed and mixture callers are the
+# measures themselves.  The dicegame subcommand seats the first five
+# unless its config names others.
 CALLERS = {
     "threshold-informed":
-        lambda rule, spec: deterministic_wrap(_informed(rule, spec)),
-    "informed": _informed,
+        lambda rule, spec: ThresholdPredictor(GameMeasure(rule, spec)),
+    "informed": GameMeasure,
     "threshold-mixture":
-        lambda rule, spec: deterministic_wrap(_mixture(rule, spec)),
-    "mixture": _mixture,
+        lambda rule, spec: ThresholdPredictor(rule_mixture(spec)),
+    "mixture": lambda rule, spec: rule_mixture(spec),
     "always-white":
         lambda rule, spec: ConstantPredictor(1.0, name="always-white"),
     "always-black":
@@ -219,7 +210,7 @@ CALLERS = {
 }
 
 
-def caller(name, rule: DealerRule, spec: GameSpec = GameSpec()) -> Predictor:
+def caller(name, rule: DealerRule, spec: GameSpec = GameSpec()) -> StateRule:
     """The caller named name, for a game against rule.
 
     Names are compared with ==, so a config entry that is not a string
@@ -300,7 +291,7 @@ class ProfitTrace:
 def play(
     spec: GameSpec,
     rule: DealerRule,
-    predictor: Predictor,
+    predictor: StateRule,
     n: int,
     seed,
     mode: str = "sampled",
@@ -407,15 +398,17 @@ def run_turnaround_experiment(
     the crossing.
 
     The rule's exact complexity inside the dealer family prices the
-    analytic bound.  Game g uses the derived seed (seed, g), so results
+    analytic bound, before any game is played, so an unwinnable spec
+    fails at once.  Game g uses the derived seed (seed, g), so results
     do not depend on scheduling or on how many games run.
     """
-    threshold_mixture = caller("threshold-mixture", rule, spec)
     bits = dealer_class(spec).complexity_surrogate(f"game({rule.name})")
     informed_error = max(
         min(spec.die1_white, 1 - spec.die1_white),
         min(spec.die2_white, 1 - spec.die2_white),
     )
+    bound = turnaround_bound(bits, spec, informed_error)
+    threshold_mixture = caller("threshold-mixture", rule, spec)
     traces = [
         play(spec, rule, threshold_mixture, rounds, seed=(seed, g), mode=mode)
         for g in range(games)
@@ -428,7 +421,7 @@ def run_turnaround_experiment(
         seed=seed,
         mode=mode,
         complexity_bits=bits,
-        bound_rounds=turnaround_bound(bits, spec, informed_error),
+        bound_rounds=bound,
         crossing_round=first_profitable_round(mean_trace),
         mean_final_profit_cents=float(mean_trace[-1]),
     )

@@ -96,8 +96,11 @@ class StateRule(ABC):
     start() is the state at the empty context and split(state) its
     transition, (P(next bit = 1), state after 0, state after 1); p1,
     step and the context route, conditional(context, bit), are derived
-    here for measures and predictors alike.
+    here for measures and predictors alike, so either sits wherever a
+    predictor is read.
     """
+
+    name: str = "rule"
 
     @abstractmethod
     def start(self):

@@ -104,7 +104,8 @@ class PredictorCursor:
 
 
 class MeasurePredictor(Predictor):
-    """Predict with the conditionals of a sequence measure."""
+    """Forward a measure's rule under a predictor's name.  Every seat
+    takes a measure itself; only perfbench still calls this."""
 
     def __init__(self, measure: SequenceMeasure, name: str | None = None):
         self.measure = measure
@@ -154,11 +155,14 @@ class LaplaceRulePredictor(Predictor):
 class ThresholdPredictor(Predictor):
     """Deterministic wrap: predict 1 iff the base probability exceeds 1/2.
 
-    A base probability of exactly 1/2 falls back to the named tie
-    constant in numerics.
+    The base is any state rule, a measure or a predictor.  A base
+    probability of exactly 1/2 falls back to the named tie constant in
+    numerics.
     """
 
-    def __init__(self, base: Predictor, name: str | None = None):
+    def __init__(self, base: StateRule, name: str | None = None):
+        if not isinstance(base, StateRule):
+            raise PredictionError(f"cannot wrap {base!r} as a predictor")
         self.base = base
         self.name = name if name is not None else f"threshold({base.name})"
 
@@ -170,13 +174,8 @@ class ThresholdPredictor(Predictor):
         return (float(threshold_step(p1 - 0.5)), zero, one)
 
 
-def deterministic_wrap(source) -> ThresholdPredictor:
-    """Threshold a predictor, or a measure's conditionals, at 1/2."""
-    if isinstance(source, SequenceMeasure):
-        source = MeasurePredictor(source)
-    if not isinstance(source, Predictor):
-        raise PredictionError(f"cannot wrap {source!r} as a predictor")
-    return ThresholdPredictor(source)
+# ThresholdPredictor's older name, which perfbench still calls.
+deterministic_wrap = ThresholdPredictor
 
 
 @dataclass(frozen=True)
@@ -264,7 +263,7 @@ class _NoPredictor:
 _NO_PREDICTOR = _NoPredictor()
 
 
-def _walked(rho: Predictor | None, n: int):
+def _walked(rho: StateRule | None, n: int):
     """The predictor an engine walks, once the horizon n is checked."""
     if n < 1:
         raise PredictionError(f"horizon must be >= 1, got {n}")
@@ -295,7 +294,7 @@ def exact_expectations(
     mu: SequenceMeasure,
     xi: SequenceMeasure,
     n: int,
-    rho: Predictor | None = None,
+    rho: StateRule | None = None,
 ) -> ExpectationReport:
     """Exact totals by enumerating every informed-positive context.
 
@@ -367,7 +366,7 @@ def monte_carlo_expectations(
     n: int,
     samples: int,
     seed: int,
-    rho: Predictor | None = None,
+    rho: StateRule | None = None,
 ) -> ExpectationReport:
     """Estimate the same totals from sampled informed paths.
 

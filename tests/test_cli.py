@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import seqpred.cli as cli
+from seqpred import config as cfg
 from seqpred import inequality_lab
 from seqpred.inequality_lab import MarginReport, ScanRow
+from seqpred.measures import BernoulliMeasure
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -376,6 +378,28 @@ class TestSimulate:
         assert report["mode"] == "monte-carlo"
         assert report["samples"] == 500
 
+    def test_measure_rho_is_the_measure(self, tmp_path):
+        measure = {
+            "type": "measure", "measure": {"type": "bernoulli", "theta": 0.6},
+        }
+        assert type(cfg.build_predictor(measure)) is BernoulliMeasure
+        for rho, name in (
+            (measure, "bernoulli(0.6)"),
+            ({"type": "threshold", "base": measure},
+             "threshold(bernoulli(0.6))"),
+        ):
+            config = write_config(
+                tmp_path, two_bernoulli_config(horizons=[4], rho=rho),
+            )
+            assert run(
+                ["simulate", "--config", config, "--out", str(tmp_path)]
+            ) == 0
+            report = json.loads(
+                (tmp_path / "expectations-exact-n4.json").read_text()
+            )
+            assert report["rho"] == name
+            assert "general" in report["totals"]
+
     def test_missing_seed_for_monte_carlo(self, tmp_path, capsys):
         config = write_config(tmp_path, two_bernoulli_config(
             mode="monte-carlo", samples=500, horizons=[6],
@@ -592,6 +616,18 @@ class TestMalformedFields:
             "config error: horizons must not repeat, got 4 twice"
             in capsys.readouterr().err
         )
+
+    def test_horizon_range_resolves_in_linear_time(self):
+        # Repeats were once found by scanning a list, which took hours
+        # on a range of a million horizons.
+        stop = 10 ** 6
+        assert cfg.resolve_horizons(
+            {"horizons": {"start": 1, "stop": stop}}
+        ) == list(range(1, stop + 1))
+        with pytest.raises(
+            cfg.ConfigError, match="^horizons must not repeat, got 4 twice$",
+        ):
+            cfg.resolve_horizons({"horizons": [4, 4]})
 
     def test_non_finite_explore_pair_names_its_path(self, tmp_path, capsys):
         config = write_config(

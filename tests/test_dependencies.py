@@ -4,7 +4,8 @@ Every module under src/seqpred imports only from the standard library,
 numpy or seqpred itself.  Other packages may be installed where the
 tests run (scipy, for one), but the package does not declare them.
 Every module but __init__.py also reads each name it imports, so an
-import left behind by a deletion fails here.
+import left behind by a deletion fails here.  The package and its tests
+parse as Python 3.10, the oldest version pyproject.toml admits.
 """
 
 import ast
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "seqpred"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "seqpred"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "seqpred"}
 
 
@@ -60,6 +62,15 @@ def unread_imports(path):
 )
 def test_every_imported_name_is_read(path):
     assert unread_imports(path) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_parses_as_python_3_10(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_package_is_found():

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 import seqpred.cli as cli
+import seqpred.dicegame as dicegame
 from seqpred.measures import BinaryString
 from seqpred.predictors import (
     ConstantPredictor,
     LaplaceRulePredictor,
     MeasurePredictor,
-    deterministic_wrap,
+    ThresholdPredictor,
     exact_expectations,
 )
 from seqpred.dicegame import (
@@ -32,6 +33,7 @@ from seqpred.dicegame import (
     turnaround_bound,
     turnaround_coefficient,
 )
+from seqpred.universal import MixtureMeasure
 
 
 class TestGameSpec:
@@ -230,11 +232,7 @@ class TestInformedDominance:
         spec = GameSpec()
         mu = GameMeasure(dealer_rule(rule_name), spec)
         xi = rule_mixture(spec)
-        rivals = [
-            LaplaceRulePredictor(),
-            MeasurePredictor(mu),
-            MeasurePredictor(xi),
-        ]
+        rivals = [LaplaceRulePredictor(), mu, xi]
         for rho in rivals:
             report = exact_expectations(mu, xi, 8, rho=rho)
             best = report.total("threshold_informed")
@@ -291,7 +289,7 @@ class TestPlay:
         # cents of the exact 100/3.
         spec = GameSpec()
         rule = dealer_rule("constant-die1")
-        caller = deterministic_wrap(GameMeasure(rule, spec))
+        caller = ThresholdPredictor(GameMeasure(rule, spec))
         traces = [
             play(spec, rule, caller, 400, seed=(5, g)) for g in range(100)
         ]
@@ -319,6 +317,28 @@ class TestCallers:
         for name in CALLERS:
             predictor = caller(name, rule)
             assert 0.0 <= predictor.p1(predictor.start()) <= 1.0
+
+    def test_informed_and_mixture_callers_are_the_measures(self):
+        # Seated bare, a measure plays exactly as it did behind the
+        # MeasurePredictor forwarder.
+        spec = GameSpec(stake_cents=200)
+        rule = dealer_rule("majority3")
+        seated = {name: caller(name, rule, spec) for name in CALLERS}
+        assert type(seated["informed"]) is GameMeasure
+        assert seated["informed"].rule == rule
+        assert seated["informed"].spec == spec
+        assert type(seated["mixture"]) is MixtureMeasure
+        for name in ("informed", "mixture"):
+            threshold = seated[f"threshold-{name}"]
+            assert type(threshold) is ThresholdPredictor
+            assert type(threshold.base) is type(seated[name])
+            for bare, wrapped in (
+                (seated[name], MeasurePredictor(seated[name])),
+                (threshold, ThresholdPredictor(MeasurePredictor(seated[name]))),
+            ):
+                assert play(spec, rule, bare, 60, seed=4) == play(
+                    spec, rule, wrapped, 60, seed=4
+                )
 
     def test_unknown_name_lists_the_known(self):
         with pytest.raises(GameError) as raised:
@@ -383,6 +403,17 @@ class TestTraceHelpers:
 
 
 class TestTurnaroundExperiment:
+    def test_unwinnable_game_fails_before_any_play(self, monkeypatch):
+        def no_play(*args, **kwargs):
+            raise AssertionError("played a game of an unwinnable spec")
+
+        monkeypatch.setattr(dicegame, "play", no_play)
+        with pytest.raises(GameError, match="not winnable"):
+            run_turnaround_experiment(
+                dealer_rule("constant-die1"),
+                GameSpec(die1_white=Fraction(1, 2)),
+            )
+
     @pytest.mark.parametrize("rule_name", ["feedback-repeat", "constant-die2"])
     def test_crossing_within_bound(self, rule_name):
         result = run_turnaround_experiment(

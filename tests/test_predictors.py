@@ -2,10 +2,12 @@ import collections
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqpred import config as cfg
 from seqpred.dicegame import GameMeasure, dealer_rule
 from seqpred.measures import (
     EMPTY,
@@ -192,22 +194,26 @@ class TestPredictors:
         assert cur.probability_of_one() == 0.25
 
     def test_threshold_predictor_binary_output(self):
-        base = MeasurePredictor(BernoulliMeasure(0.7))
-        t = ThresholdPredictor(base)
+        t = ThresholdPredictor(BernoulliMeasure(0.7))
         assert t.conditional(EMPTY, 1) == 1.0
-        low = ThresholdPredictor(MeasurePredictor(BernoulliMeasure(0.3)))
+        low = ThresholdPredictor(BernoulliMeasure(0.3))
         assert low.conditional(EMPTY, 1) == 0.0
 
     def test_threshold_tie_uses_named_constant(self):
         t = ThresholdPredictor(ConstantPredictor(0.5))
         assert t.conditional(EMPTY, 1) == 0.0
 
-    def test_deterministic_wrap_accepts_measures(self):
-        t = deterministic_wrap(BernoulliMeasure(0.7))
-        assert t.name == "threshold(bernoulli(0.7))"
-        assert t.conditional(EMPTY, 1) == 1.0
-        with pytest.raises(PredictionError):
-            deterministic_wrap(0.7)
+    def test_threshold_wraps_any_state_rule(self):
+        # A measure and a wrapped measure threshold alike, under the
+        # measure's name.
+        bare = ThresholdPredictor(BernoulliMeasure(0.7))
+        wrapped = ThresholdPredictor(MeasurePredictor(BernoulliMeasure(0.7)))
+        assert bare.name == wrapped.name == "threshold(bernoulli(0.7))"
+        assert bare.split(None) == wrapped.split(None) == (1.0, None, None)
+        assert deterministic_wrap is ThresholdPredictor
+        for thing in (0.7, "bernoulli", BinaryString.parse("1")):
+            with pytest.raises(PredictionError, match="cannot wrap"):
+                ThresholdPredictor(thing)
 
 
 class TestExactExpectations:
@@ -292,14 +298,13 @@ class TestExactExpectations:
         exact_expectations(BernoulliMeasure(0.3), xi, n)
         assert xi.calls == {"split": 2 ** n - 1}
 
-    def test_wrapped_mixture_splits_in_one_pass(self):
-        # The measure-backed and threshold wrappers forward split, so a
-        # walk over a thresholded mixture reads one mixture split per
-        # node.
+    def test_thresholded_mixture_splits_in_one_pass(self):
+        # The threshold wrapper forwards split, so a walk over a
+        # thresholded mixture reads one mixture split per node.
         xi = CountingMixture(WeightedClass.with_index_code_weights(
             telescoped_components()
         ))
-        rho = ThresholdPredictor(MeasurePredictor(xi))
+        rho = ThresholdPredictor(xi)
         state = xi.step(xi.start(), 1)
         xi.calls.clear()
         p1, zero, one = rho.split(state)
@@ -465,3 +470,41 @@ class TestReportLayout:
         if mode == "monte-carlo":
             assert tuple(with_rho.std_errors) == self.ALL
             assert without.std_errors.keys() == rest.keys()
+
+
+class TestHorizonLadder:
+    """A shorter horizon's per-step columns are the first entries of a
+    longer run's, bit for bit, so one walk can serve a whole ladder."""
+
+    CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+    def experiment(self, name):
+        config = cfg.load_config(self.CONFIGS / name)
+        _weighted, xi, mu = cfg.mixture_from_config(config)
+        return config, mu, xi, cfg.build_predictor(config["rho"])
+
+    def assert_prefix(self, short, long):
+        assert short.per_step.keys() == long.per_step.keys()
+        for name, column in short.per_step.items():
+            assert list(map(float.hex, column)) == list(
+                map(float.hex, long.per_step[name][:short.horizon])
+            ), name
+
+    @pytest.mark.parametrize("name", ["two_bernoulli.json", "markov_mix.json"])
+    def test_exact_columns_are_prefixes(self, name):
+        _config, mu, xi, rho = self.experiment(name)
+        self.assert_prefix(
+            exact_expectations(mu, xi, 6, rho=rho),
+            exact_expectations(mu, xi, 12, rho=rho),
+        )
+
+    def test_monte_carlo_columns_are_prefixes(self):
+        config, mu, xi, rho = self.experiment("monte_carlo.json")
+
+        def run(n):
+            return monte_carlo_expectations(
+                mu, xi, n, samples=config["samples"], seed=config["seed"],
+                rho=rho,
+            )
+
+        self.assert_prefix(run(6), run(10))
