@@ -27,6 +27,7 @@ from .predictors import (
     deterministic_wrap,
     exact_expectations,
     monte_carlo_expectations,
+    monte_carlo_ladder,
 )
 from .universal import MixtureMeasure, WeightedClass
 
@@ -51,5 +52,6 @@ __all__ = [
     "deterministic_wrap",
     "exact_expectations",
     "monte_carlo_expectations",
+    "monte_carlo_ladder",
     "__version__",
 ]

@@ -41,7 +41,7 @@ from .dicegame import (
 from .inequality_lab import GridError, run_all_scans
 from .measures import BinaryString, MeasureError
 from .numerics import fmt17, write_csv, write_json
-from .predictors import exact_expectations, monte_carlo_expectations
+from .predictors import exact_expectations, monte_carlo_ladder
 from .semimeasure import (
     EchoMachine,
     RegisterMachine,
@@ -246,13 +246,13 @@ def cmd_simulate(args) -> int:
         seed = args.seed
     _weighted, xi, mu = cfg.mixture_from_config(config)
     rho = cfg.build_predictor(config["rho"]) if "rho" in config else None
-    reports = [
-        exact_expectations(mu, xi, h, rho=rho) if mode == "exact"
-        else monte_carlo_expectations(
-            mu, xi, h, samples=samples, seed=seed, rho=rho,
+    horizons = cfg.resolve_horizons(config)
+    if mode == "exact":
+        reports = [exact_expectations(mu, xi, h, rho=rho) for h in horizons]
+    else:
+        reports = monte_carlo_ladder(
+            mu, xi, horizons, samples=samples, seed=seed, rho=rho,
         )
-        for h in cfg.resolve_horizons(config)
-    ]
 
     out = _out_dir(args)
     for report in reports:

@@ -4,7 +4,8 @@ Every command reads the same self-describing format, so a reported
 result is reproducible from its config file and seeds alone.  Sections
 are optional; each command validates the ones it needs, and verify-bounds
 and simulate accept no top-level keys besides the experiment's (class
-through seed below).
+through seed below).  Horizons increase: each lies above the one
+before, so a repeated or decreasing list is refused before any walk.
 
     {
       "class": {"components": [<measure spec>, ...],
@@ -266,13 +267,13 @@ def resolve_horizons(config: dict) -> list[int]:
         raw = list(range(start, stop + 1, step))
     if not isinstance(raw, list) or not raw:
         raise ConfigError("horizons must be a nonempty list or a range object")
-    seen = set()
-    for h in raw:
+    for i, h in enumerate(raw):
         if not _is_int(h) or h < 1:
             raise ConfigError(f"horizons must be positive integers, got {h!r}")
-        if h in seen:
+        if i and h == raw[i - 1]:
             raise ConfigError(f"horizons must not repeat, got {h} twice")
-        seen.add(h)
+        if i and h < raw[i - 1]:
+            raise ConfigError(f"horizons must increase, got {raw}")
     return list(raw)
 
 

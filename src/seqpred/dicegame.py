@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import numerics
-from .measures import MeasureError, SequenceMeasure, StateRule
+from .measures import FiniteRule, MeasureError, SequenceMeasure, StateRule
 from .predictors import (
     ConstantPredictor,
     LaplaceRulePredictor,
@@ -150,29 +150,23 @@ def dealer_rule(name: str) -> DealerRule:
     raise GameError(f"unknown dealer rule {name!r}; known rules: {known}")
 
 
-class GameMeasure(SequenceMeasure):
+class GameMeasure(FiniteRule, SequenceMeasure):
     """Outcome distribution induced by a dealer rule and the two dice.
 
-    The state is the dealer's state; each state's split, (P(white) as a
-    float from the two dice, next state after black, after white), is
-    precomputed from the rule's tables.
+    The states are the dealer's; each state's row, (P(white) as a float
+    from the two dice, next state after black, after white), is built
+    from the rule's tables.
     """
 
     def __init__(self, rule: DealerRule, spec: GameSpec = GameSpec()):
         self.rule = rule
         self.spec = spec
-        self.name = f"game({rule.name})"
         white = {die: float(self.spec.white_probability(die)) for die in (1, 2)}
-        self._splits = tuple(
-            (white[die], *after)
-            for die, after in zip(rule.die, rule.next_state)
+        super().__init__(
+            [(white[die], *after)
+             for die, after in zip(rule.die, rule.next_state)],
+            f"game({rule.name})",
         )
-
-    def start(self):
-        return 0
-
-    def split(self, state):
-        return self._splits[state]
 
 
 def dealer_class(spec: GameSpec = GameSpec()) -> WeightedClass:

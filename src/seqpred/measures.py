@@ -5,7 +5,9 @@ context and split(state) its one transition, (p1, state after 0, state
 after 1) with p1 = rho(1 | context), so conditioning is the rule
 replayed along the context.  p1(state) and step(state, bit) are read
 off split for every family, the mixture included, so both raise where
-split does: past a null event, NullEventError.  Prefix probabilities
+split does: past a null event, NullEventError.  A finite-state rule is
+its table: FiniteRule's states are integers and split reads their rows,
+which Bernoulli and Markov measures fill in.  Prefix probabilities
 rho(s), with rho(empty) = 1 and rho(s0) + rho(s1) = rho(s), chain the same
 conditionals in log space so long horizons do not underflow.  Families
 with a closed form for rho(s) price it on their own, and the Bayes ratio
@@ -210,7 +212,22 @@ def chain_probability(measure: SequenceMeasure, s: BinaryString) -> float:
     return math.exp(total)
 
 
-class BernoulliMeasure(SequenceMeasure):
+class FiniteRule(StateRule):
+    """A finite-state rule held as its table: states 0 .. len(rows) - 1,
+    start 0, and rows[state] its split (p1, state after 0, after 1)."""
+
+    def __init__(self, rows, name):
+        self.rows = tuple(rows)
+        self.name = name
+
+    def start(self):
+        return 0
+
+    def split(self, state):
+        return self.rows[state]
+
+
+class BernoulliMeasure(FiniteRule, SequenceMeasure):
     """I.i.d. coin flips with P(bit = 1) = theta, theta strictly inside (0, 1)."""
 
     def __init__(self, theta: float, name: str | None = None):
@@ -220,10 +237,10 @@ class BernoulliMeasure(SequenceMeasure):
                 "use a deterministic measure for point masses"
             )
         self.theta = float(theta)
-        self.name = name if name is not None else f"bernoulli({self.theta:g})"
+        name = name if name is not None else f"bernoulli({self.theta:g})"
+        super().__init__(((self.theta, 0, 0),), name)
         self._log_theta = math.log(self.theta)
         self._log_comp = math.log1p(-self.theta)
-        self._split = (self.theta, None, None)
 
     # The price state is (length, ones).
 
@@ -238,14 +255,8 @@ class BernoulliMeasure(SequenceMeasure):
         length, ones = pstate
         return ones * self._log_theta + (length - ones) * self._log_comp
 
-    def start(self):
-        return None
 
-    def split(self, state):
-        return self._split
-
-
-class MarkovMeasure(SequenceMeasure):
+class MarkovMeasure(FiniteRule, SequenceMeasure):
     """Finite-order Markov chain on bits, order at most 4.
 
     The table maps every bit pattern of length <= order to P(next bit = 1)
@@ -272,24 +283,18 @@ class MarkovMeasure(SequenceMeasure):
                     f"got {key!r}: {value}"
                 )
             normalized[key] = float(value)
-        missing = [key for key in _patterns(order) if key not in normalized]
+        patterns = _patterns(order)
+        missing = [key for key in patterns if key not in normalized]
         if missing:
             raise MeasureError(f"Markov table is missing patterns: {missing}")
-        # The state is the window of the last min(position, order) bits,
-        # and each window's split is precomputed.
-        self._splits = {}
-        for key, value in normalized.items():
-            window = tuple(int(ch) for ch in key)
-            self._splits[window] = (
-                value, (window + (0,))[-order:], (window + (1,))[-order:],
-            )
-        self.name = name if name is not None else f"markov{order}"
-
-    def start(self):
-        return ()
-
-    def split(self, state):
-        return self._splits[state]
+        # State i is the window of the last min(position, order) bits
+        # that patterns[i] spells.
+        index = {key: i for i, key in enumerate(patterns)}
+        super().__init__(
+            [(normalized[key], index[(key + "0")[-order:]],
+              index[(key + "1")[-order:]]) for key in patterns],
+            name if name is not None else f"markov{order}",
+        )
 
     @classmethod
     def random(cls, order: int, rng, low: float = 0.1, high: float = 0.9,

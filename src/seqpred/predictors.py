@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .measures import MeasureError, SequenceMeasure, StateRule
+from .measures import FiniteRule, MeasureError, SequenceMeasure, StateRule
 from .numerics import kl_bernoulli, threshold_step
 
 EXACT_HORIZON_CAP = 16
@@ -118,21 +118,15 @@ class MeasurePredictor(Predictor):
         return self.measure.split(state)
 
 
-class ConstantPredictor(Predictor):
-    """Always assigns the same probability to the next bit being 1."""
+class ConstantPredictor(FiniteRule, Predictor):
+    """Always assigns probability p to the next bit being 1: one row."""
 
     def __init__(self, p: float, name: str | None = None):
         if not 0.0 <= p <= 1.0:
             raise PredictionError(f"probability outside [0, 1]: {p}")
         self.p = float(p)
-        self.name = name if name is not None else f"constant({self.p:g})"
-        self._split = (self.p, None, None)
-
-    def start(self):
-        return None
-
-    def split(self, state):
-        return self._split
+        name = name if name is not None else f"constant({self.p:g})"
+        super().__init__(((self.p, 0, 0),), name)
 
 
 class LaplaceRulePredictor(Predictor):
@@ -247,20 +241,9 @@ class ExpectationReport:
         )
 
 
-class _NoPredictor:
-    """Stand-in for an absent predictor rho: its state and conditional are
-    None, so step_terms leaves the general term out."""
-
-    name = None
-
-    def start(self):
-        return None
-
-    def split(self, _state):
-        return (None, None, None)
-
-
-_NO_PREDICTOR = _NoPredictor()
+# Stand-in for an absent predictor rho: its conditional is None, so
+# step_terms leaves the general term out.
+_NO_PREDICTOR = FiniteRule(((None, 0, 0),), name=None)
 
 
 def _walked(rho: StateRule | None, n: int):
@@ -368,13 +351,35 @@ def monte_carlo_expectations(
     seed: int,
     rho: StateRule | None = None,
 ) -> ExpectationReport:
-    """Estimate the same totals from sampled informed paths.
+    """Estimate the same totals from sampled informed paths: the
+    one-rung ladder."""
+    return monte_carlo_ladder(mu, xi, [n], samples, seed, rho=rho)[0]
+
+
+def monte_carlo_ladder(
+    mu: SequenceMeasure,
+    xi: SequenceMeasure,
+    horizons,
+    samples: int,
+    seed: int,
+    rho: StateRule | None = None,
+) -> list[ExpectationReport]:
+    """Monte Carlo reports at each horizon of an increasing ladder.
 
     Paths are sampled in lockstep with one uniform draw per step per
-    path; per-path sums give unbiased total estimates and their standard
-    errors.  Results depend only on (seed, samples, n), not on scheduling.
+    path, walked once to the top rung; per-path sums give unbiased
+    total estimates and their standard errors.  A rung's report takes
+    the step means up to its horizon and the standard errors of the
+    per-path sums at that step, so it equals a walk to that horizon
+    alone, bit for bit.  Results depend only on (seed, samples,
+    horizons), not on scheduling.
     """
-    rho = _walked(rho, n)
+    horizons = list(horizons)
+    if not horizons:
+        raise PredictionError("need at least one horizon")
+    rho = _walked(rho, horizons[0])
+    if any(h <= before for before, h in zip(horizons, horizons[1:])):
+        raise PredictionError(f"horizons must increase, got {horizons}")
     if samples < 2:
         raise PredictionError(f"need at least 2 samples, got {samples}")
     if seed is None:
@@ -389,8 +394,10 @@ def monte_carlo_expectations(
     states = [(mu.start(), xi.start(), rho.start())]
     per_path = np.zeros((len(_STEP_FIELDS), samples))
     step_means = [[] for _ in _STEP_FIELDS]
+    rungs = set(horizons)
+    reports = []
 
-    for _ in range(n):
+    for k in range(1, horizons[-1] + 1):
         splits = [
             (mu.split(mu_state), xi.split(xi_state), rho.split(rho_state))
             for mu_state, xi_state, rho_state in states
@@ -407,6 +414,16 @@ def monte_carlo_expectations(
             gathered = column[ids]
             sums += gathered
             means.append(float(gathered.mean()))
+        if k in rungs:
+            std_errors = {
+                name: float(sums.std(ddof=1) / math.sqrt(samples))
+                for name, sums in zip(_STEP_FIELDS, per_path)
+            }
+            # _report copies the columns, which grow on past this rung.
+            reports.append(_report(
+                "monte-carlo", mu, xi, rho, step_means, std_errors=std_errors,
+                samples=samples, seed=seed,
+            ))
         draws = rng.random(samples)
         bits = (draws < y_vals[ids]).astype(np.int64)
         children, ids = np.unique(ids * 2 + bits, return_inverse=True)
@@ -417,12 +434,4 @@ def monte_carlo_expectations(
             states.append(
                 (mu_split[bit + 1], xi_split[bit + 1], rho_split[bit + 1])
             )
-
-    std_errors = {
-        name: float(sums.std(ddof=1) / math.sqrt(samples))
-        for name, sums in zip(_STEP_FIELDS, per_path)
-    }
-    return _report(
-        "monte-carlo", mu, xi, rho, step_means, std_errors=std_errors,
-        samples=samples, seed=seed,
-    )
+    return reports

@@ -47,6 +47,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def assert_same_files(first, second, names):
+    """Both runs wrote exactly names, byte for byte alike."""
+    for out in (first, second):
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 class TestVerifyBounds:
     def test_two_bernoulli_passes(self, tmp_path, capsys):
         config = write_config(tmp_path, two_bernoulli_config())
@@ -400,6 +408,18 @@ class TestSimulate:
             assert report["rho"] == name
             assert "general" in report["totals"]
 
+    def test_monte_carlo_reruns_byte_identical(self, tmp_path, capsys):
+        config = write_config(tmp_path, monte_carlo_config(horizons=[3, 6]))
+        printed = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run(["simulate", "--config", config, "--out", str(out)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert_same_files(tmp_path / "a", tmp_path / "b", [
+            f"expectations-monte-carlo-n{h}.{ext}"
+            for h in (3, 6) for ext in ("json", "csv")
+        ])
+
     def test_missing_seed_for_monte_carlo(self, tmp_path, capsys):
         config = write_config(tmp_path, two_bernoulli_config(
             mode="monte-carlo", samples=500, horizons=[6],
@@ -548,6 +568,8 @@ class TestMalformedFields:
             ("simulate", two_bernoulli_config(horizons=[4, 4]), []),
         "simulate-monte-carlo-horizons-repeated":
             ("simulate", monte_carlo_config(horizons=[4, 6, 4]), []),
+        "simulate-monte-carlo-horizons-decreasing":
+            ("simulate", monte_carlo_config(horizons=[8, 4]), []),
         "simulate-exact-horizon-beyond-cap":
             ("simulate", two_bernoulli_config(horizons=[4, 20]), []),
         "verify-short-program": ("verify-bounds", SHORT_PROGRAM, []),
@@ -582,10 +604,47 @@ class TestMalformedFields:
             '{"threshold": [[1e400, 2.0]]}'), []),
     }
 
+    # (command, payload, text the config error line must hold): paths
+    # told apart by their message.
+    MESSAGES = {
+        "not-json": ("simulate", "{not json", "is not valid JSON"),
+        "root-not-object": ("simulate", "[1, 2]",
+                            "config root must be a JSON object"),
+        "weights-wrong-length": ("simulate", with_class_weights([0.5]),
+                                 "class.weights has 1 entries for 2 "
+                                 "components"),
+        "constant-p-above-one": ("simulate", two_bernoulli_config(
+            rho={"type": "constant", "p": 1.5}),
+            "rho: probability outside [0, 1]: 1.5"),
+        "markov-bad-key": ("simulate", with_component(dict(MARKOV, table={
+            "": 0.5, "0": 0.8, "1": 0.2, "2": 0.5})),
+            "class.components[1]: bad Markov table key '2'"),
+        "markov-value-outside": ("simulate", with_component(dict(
+            MARKOV, table={"": 0.5, "0": 1.0, "1": 0.2})),
+            "class.components[1]: transition probabilities must lie "
+            "strictly inside (0, 1), got '0': 1.0"),
+        "game-spec-not-object": ("dicegame", {"game": dict(
+            GAME["game"], spec=[300, 500])}, "game.spec must be an object"),
+        "game-payout-not-above-stake": ("dicegame", {"game": dict(
+            GAME["game"], spec={"stake_cents": 500, "payout_cents": 500})},
+            "game.spec: need payout > stake >= 0, got stake 500 and "
+            "payout 500"),
+        "simulate-horizons-decreasing": ("simulate", two_bernoulli_config(
+            horizons=[8, 4]), "horizons must increase, got [8, 4]"),
+        "verify-markov-mix-horizons-decreasing": ("verify-bounds", dict(
+            json.loads((CONFIGS / "markov_mix.json").read_text()),
+            horizons=[14, 4]), "horizons must increase, got [14, 4]"),
+    }
+
     @pytest.mark.parametrize(
-        "command, payload, flags", CASES.values(), ids=CASES.keys(),
+        "command, payload, flags, message",
+        [(*case, None) for case in CASES.values()]
+        + [(command, payload, [], message)
+           for command, payload, message in MESSAGES.values()],
+        ids=[*CASES, *MESSAGES],
     )
-    def test_is_config_error(self, tmp_path, capsys, command, payload, flags):
+    def test_is_config_error(self, tmp_path, capsys, command, payload, flags,
+                             message):
         config = write_config(tmp_path, payload)
         out = tmp_path / "out"
         code = run([command, "--config", config, "--out", str(out), *flags])
@@ -595,6 +654,8 @@ class TestMalformedFields:
         assert "Traceback" not in printed.err
         assert printed.out == ""
         assert not out.exists()
+        if message is not None:
+            assert message in printed.err
 
     def test_nested_measure_error_names_its_path(self, tmp_path, capsys):
         config = write_config(tmp_path, two_bernoulli_config(rho={
@@ -726,6 +787,21 @@ class TestApproximateM:
         for line in lines[1:]:
             _ctx, p0, p1 = line.split(",")
             assert float(p0) + float(p1) == pytest.approx(1.0)
+
+    def test_reruns_byte_identical(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"semimeasure": {
+            "machine": "register", "cap": 9, "fuel": 32, "depth": 4,
+        }})
+        printed = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert run([
+                "approximate-m", "--config", config, "--out", str(out),
+            ]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert_same_files(tmp_path / "a", tmp_path / "b", [
+            "semimeasure-table.json", "semimeasure-conditionals.csv",
+        ])
 
     @pytest.mark.parametrize("machine, cap, fuel, depth", [
         ("echo", 6, 3, 3),

@@ -28,6 +28,7 @@ from seqpred.predictors import (
     deterministic_wrap,
     exact_expectations,
     monte_carlo_expectations,
+    monte_carlo_ladder,
     step_terms,
 )
 from seqpred.semimeasure import (
@@ -209,7 +210,7 @@ class TestPredictors:
         bare = ThresholdPredictor(BernoulliMeasure(0.7))
         wrapped = ThresholdPredictor(MeasurePredictor(BernoulliMeasure(0.7)))
         assert bare.name == wrapped.name == "threshold(bernoulli(0.7))"
-        assert bare.split(None) == wrapped.split(None) == (1.0, None, None)
+        assert bare.split(0) == wrapped.split(0) == (1.0, 0, 0)
         assert deterministic_wrap is ThresholdPredictor
         for thing in (0.7, "bernoulli", BinaryString.parse("1")):
             with pytest.raises(PredictionError, match="cannot wrap"):
@@ -472,6 +473,18 @@ class TestReportLayout:
             assert without.std_errors.keys() == rest.keys()
 
 
+class CountingBernoulli(BernoulliMeasure):
+    """A Bernoulli measure that counts the splits a walk makes on it."""
+
+    def __init__(self, theta):
+        super().__init__(theta)
+        self.splits = 0
+
+    def split(self, state):
+        self.splits += 1
+        return super().split(state)
+
+
 class TestHorizonLadder:
     """A shorter horizon's per-step columns are the first entries of a
     longer run's, bit for bit, so one walk can serve a whole ladder."""
@@ -508,3 +521,42 @@ class TestHorizonLadder:
             )
 
         self.assert_prefix(run(6), run(10))
+
+    def test_monte_carlo_ladder_rungs_equal_separate_walks(self):
+        config, mu, xi, rho = self.experiment("monte_carlo.json")
+        samples, seed = config["samples"], config["seed"]
+        rungs = monte_carlo_ladder(
+            mu, xi, [3, 6, 10], samples=samples, seed=seed, rho=rho,
+        )
+        assert [report.horizon for report in rungs] == [3, 6, 10]
+        for report in rungs:
+            alone = monte_carlo_expectations(
+                mu, xi, report.horizon, samples=samples, seed=seed, rho=rho,
+            )
+            assert repr(report.to_dict()) == repr(alone.to_dict())
+
+    def test_monte_carlo_ladder_walks_once_to_the_top_rung(self):
+        # One walk splits mu at most once per distinct sampled prefix per
+        # step; a walk per rung would split sum(h) = 820 levels' prefixes.
+        samples, top = 50, 40
+        mu = CountingBernoulli(0.3)
+        xi = MixtureMeasure(WeightedClass.uniform(
+            [BernoulliMeasure(0.3), BernoulliMeasure(0.7)]
+        ))
+        rungs = monte_carlo_ladder(
+            mu, xi, range(1, top + 1), samples=samples, seed=3,
+        )
+        assert [report.horizon for report in rungs] == list(range(1, top + 1))
+        assert mu.splits <= samples * top
+
+    @pytest.mark.parametrize("horizons, message", [
+        ([], "need at least one horizon"),
+        ([0, 4], "horizon must be >= 1, got 0"),
+        ([4, 4], "horizons must increase, got \\[4, 4\\]"),
+        ([8, 4], "horizons must increase, got \\[8, 4\\]"),
+    ])
+    def test_monte_carlo_ladder_needs_increasing_horizons(self, horizons,
+                                                          message):
+        mu, xi = two_bernoulli_setup()
+        with pytest.raises(PredictionError, match=f"^{message}$"):
+            monte_carlo_ladder(mu, xi, horizons, samples=10, seed=1)

@@ -29,9 +29,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqpred.dicegame import DEALER_RULES, GameMeasure, GameSpec
+from seqpred import predictors
 from seqpred.measures import (
     BernoulliMeasure,
     BinaryString,
+    FiniteRule,
     MarkovMeasure,
     MeasureCursor,
     MeasureError,
@@ -39,6 +41,7 @@ from seqpred.measures import (
     NullEventError,
     SequenceMeasure,
     StateRule,
+    _patterns,
     chain_probability,
     deterministic,
 )
@@ -414,3 +417,33 @@ def test_a_rule_without_start_or_split_cannot_be_built(base, missing):
     incomplete = type(f"Without_{missing}", (base,), methods)
     with pytest.raises(TypeError):
         incomplete()
+
+
+def test_finite_state_families_are_their_tables():
+    # Each family's transition is FiniteRule's row lookup alone, and the
+    # absent-rho stand-in is a one-row table too.
+    for cls in (BernoulliMeasure, MarkovMeasure, GameMeasure,
+                ConstantPredictor):
+        assert issubclass(cls, FiniteRule)
+        assert not {"start", "split"} & vars(cls).keys(), cls.__name__
+    assert not hasattr(predictors, "_NoPredictor")
+    assert type(predictors._NO_PREDICTOR) is FiniteRule
+    assert predictors._NO_PREDICTOR.rows == ((None, 0, 0),)
+    assert BernoulliMeasure(0.3).rows == ((0.3, 0, 0),)
+    assert ConstantPredictor(1.0).rows == ((1.0, 0, 0),)
+    rule = DEALER_RULES[4]
+    assert GameMeasure(rule).rows == tuple(
+        (float(GameSpec().white_probability(die)), *after)
+        for die, after in zip(rule.die, rule.next_state)
+    )
+
+
+@pytest.mark.parametrize("order", range(1, MarkovMeasure.MAX_ORDER + 1))
+@settings(max_examples=20, deadline=None)
+@given(bits=strings)
+def test_markov_state_indexes_its_window(order, bits):
+    measure = markov(order)
+    state = measure.state_after(bits)
+    window = "".join(map(str, bits[-order:]))
+    assert _patterns(order)[state] == window
+    assert measure.rows[state][0] == markov_table(order)[window]
