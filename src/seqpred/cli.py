@@ -78,8 +78,7 @@ def _out_dir(args) -> Path:
     return args.out
 
 
-def cmd_verify_bounds(args) -> int:
-    config = cfg.load_config(args.config)
+def cmd_verify_bounds(args, config: dict) -> int:
     mode, _samples, _seed = cfg.resolve_mode(config)
     if mode != "exact":
         raise cfg.ConfigError(
@@ -89,10 +88,9 @@ def cmd_verify_bounds(args) -> int:
     weighted, xi, mu = cfg.mixture_from_config(config)
     rho = cfg.build_predictor(config["rho"]) if "rho" in config else None
     horizons = cfg.resolve_horizons(config)
-    member_names = [m.name for m, _ in weighted.components]
     cap = (
         weighted.entropy_budget_nats(mu.name)
-        if mu.name in member_names
+        if mu in weighted.measures()
         else None
     )
     reports = [exact_expectations(mu, xi, h, rho=rho) for h in horizons]
@@ -132,8 +130,7 @@ def cmd_verify_bounds(args) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_inequalities(args) -> int:
-    config = cfg.load_config(args.config)
+def cmd_inequalities(args, config: dict) -> int:
     section = cfg.read_section(config, "inequalities", ("grid", "explore"))
     grid = cfg.build_grid_spec(section.get("grid", {}))
     explore_pairs = cfg.build_explore_pairs(section.get("explore", {}))
@@ -160,8 +157,7 @@ def cmd_inequalities(args) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_dicegame(args) -> int:
-    config = cfg.load_config(args.config)
+def cmd_dicegame(args, config: dict) -> int:
     section = cfg.read_section(config, "game", (
         "spec", "rule", "rounds", "games", "seed", "mode", "predictors",
     ))
@@ -234,8 +230,7 @@ def cmd_dicegame(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = cfg.load_config(args.config)
+def cmd_simulate(args, config: dict) -> int:
     mode, samples, seed = cfg.resolve_mode(config)
     if args.seed is not None:
         if mode == "exact":
@@ -268,8 +263,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_approximate_m(args) -> int:
-    config = cfg.load_config(args.config)
+def cmd_approximate_m(args, config: dict) -> int:
     section = cfg.read_section(
         config, "semimeasure", ("machine", "cap", "fuel", "depth"),
     )
@@ -353,7 +347,7 @@ def main(argv=None) -> int:
         seed = getattr(args, "seed", None)
         if seed is not None and seed < 0:
             raise cfg.ConfigError(f"--seed must be >= 0, got {seed}")
-        code = args.func(args)
+        code = args.func(args, cfg.load_config(args.config))
         sys.stdout.flush()
         return code
     except CONFIG_ERRORS as exc:

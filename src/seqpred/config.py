@@ -33,14 +33,18 @@ name, "spec": {...}}.  Predictor specs: {"type": "laplace"}, {"type":
 "constant", "p": p}, {"type": "measure", "measure": spec}, each
 optionally wrapped as {"type": "threshold", "base": spec}; a measure
 predictor is the measure itself, since any state rule predicts.  A spec
-of either kind holds no other keys.
+of either kind holds no other keys.  A string true_measure selects a
+class member, whose entropy budget verify-bounds checks; a spec
+true_measure must not reuse a member's name.  GridSpec and GameSpec
+values are read by their dataclass field types.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+from fractions import Fraction
+from typing import get_type_hints
 
 from .dicegame import GameMeasure, GameSpec, dealer_rule
 from .inequality_lab import GridSpec
@@ -171,10 +175,7 @@ def build_measure(spec, where: str = "measure") -> SequenceMeasure:
 
 
 def _real_field(section: dict, key: str, where: str):
-    value = _require(section, key, where)
-    if not _is_real(value):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return value
+    return _number(_require(section, key, where), f"{where}.{key}")
 
 
 def _markov_table(table, where: str) -> dict:
@@ -222,15 +223,20 @@ def build_class(section, where: str = "class") -> WeightedClass:
 
 def resolve_true_measure(config: dict, weighted: WeightedClass) -> SequenceMeasure:
     selector = _require(config, "true_measure", "config")
+    names = list(weighted.names())
     if isinstance(selector, str):
-        for measure, _w in weighted.components:
-            if measure.name == selector:
-                return measure
-        names = [m.name for m, _ in weighted.components]
+        if selector not in names:
+            raise ConfigError(
+                f"true_measure {selector!r} is not in the class; members: {names}"
+            )
+        return weighted.measures()[names.index(selector)]
+    mu = build_measure(selector, "true_measure")
+    if mu.name in names:
         raise ConfigError(
-            f"true_measure {selector!r} is not in the class; members: {names}"
+            f"true_measure spec is named {mu.name!r} like a class member; "
+            f'select the member by its name, "true_measure": "{mu.name}"'
         )
-    return build_measure(selector, "true_measure")
+    return mu
 
 
 def build_predictor(spec, where: str = "rho") -> StateRule:
@@ -295,23 +301,50 @@ def resolve_mode(config: dict):
 
 
 def build_grid_spec(section) -> GridSpec:
+    return _read_fields(GridSpec, section, "inequalities.grid")
+
+
+def build_game_spec(section) -> GameSpec:
+    return _read_fields(GameSpec, section, "game.spec")
+
+
+def _read_fields(cls, section, where: str):
+    """cls(**section), each value read by its field's type."""
     if not isinstance(section, dict):
-        raise ConfigError("inequalities.grid must be an object")
-    _check_keys(section, [f.name for f in fields(GridSpec)], "grid")
-    for key, value in section.items():
-        if key == "epsilon":
-            if not _is_real(value):
-                raise ConfigError(
-                    f"inequalities.grid.epsilon must be a number, got {value!r}"
-                )
-        elif not _is_int(value):
-            raise ConfigError(
-                f"inequalities.grid.{key} must be an integer, got {value!r}"
-            )
+        raise ConfigError(f"{where} must be an object")
+    types = get_type_hints(cls)
+    _check_keys(section, types, where)
+    kwargs = {key: _FIELD_READERS[types[key]](value, f"{where}.{key}")
+              for key, value in section.items()}
     try:
-        return GridSpec(**section)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"inequalities.grid: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _integer(value, where: str) -> int:
+    if not _is_int(value):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, where: str):
+    if not _is_real(value):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return value
+
+
+def _as_fraction(value, where: str) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{where}: expected a number or 'p/q' string, got {value!r}")
+    try:
+        fraction = Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(f"{where}: cannot parse fraction {value!r}") from None
+    return fraction if isinstance(value, str) else fraction.limit_denominator(10**9)
+
+
+_FIELD_READERS = {int: _integer, float: _number, Fraction: _as_fraction}
 
 
 def build_explore_pairs(section) -> dict:
@@ -346,39 +379,6 @@ def _is_int(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def build_game_spec(section) -> GameSpec:
-    if not isinstance(section, dict):
-        raise ConfigError("game.spec must be an object")
-    _check_keys(section, [f.name for f in fields(GameSpec)], "game.spec")
-    kwargs = dict(section)
-    for key in ("stake_cents", "payout_cents"):
-        if key in kwargs and not _is_int(kwargs[key]):
-            raise ConfigError(
-                f"game.spec.{key} must be an integer, got {kwargs[key]!r}"
-            )
-    try:
-        for key in ("die1_white", "die2_white"):
-            if key in kwargs:
-                kwargs[key] = _as_fraction(kwargs[key], f"game.spec.{key}")
-        return GameSpec(**kwargs)
-    except MeasureError as exc:
-        raise ConfigError(f"game.spec: {exc}") from None
-
-
-def _as_fraction(value, where: str):
-    from fractions import Fraction
-
-    if not isinstance(value, (str, int, float)):
-        raise ConfigError(f"{where}: expected a number or 'p/q' string, got {value!r}")
-    try:
-        fraction = Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"{where}: cannot parse fraction {value!r}") from None
-    if isinstance(value, str):
-        return fraction
-    return fraction.limit_denominator(10**9)
 
 
 def mixture_from_config(config: dict):

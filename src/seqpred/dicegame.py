@@ -309,8 +309,7 @@ def play(
     outcomes = []
     profits = []
     errors = []
-    running_profit = 0 if mode == "sampled" else 0.0
-    running_errors = 0 if mode == "sampled" else 0.0
+    running_profit = running_errors = 0
     for _ in range(n):
         env_split = env.split(env_state)
         outcome = 1 if rng.random() < env_split[0] else 0
@@ -318,13 +317,11 @@ def play(
         call_white = caller_split[0]
         if mode == "sampled":
             call = 1 if rng.random() < call_white else 0
-            wrong = int(call != outcome)
-            running_errors += wrong
-            running_profit += (1 - wrong) * spec.payout_cents - spec.stake_cents
+            p_correct = int(call == outcome)
         else:
             p_correct = call_white if outcome == 1 else 1.0 - call_white
-            running_errors += 1.0 - p_correct
-            running_profit += p_correct * spec.payout_cents - spec.stake_cents
+        running_errors += 1 - p_correct
+        running_profit += p_correct * spec.payout_cents - spec.stake_cents
         outcomes.append(outcome)
         profits.append(running_profit)
         errors.append(running_errors)

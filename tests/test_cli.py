@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 import seqpred.cli as cli
 from seqpred import config as cfg
 from seqpred import inequality_lab
-from seqpred.inequality_lab import MarginReport, ScanRow
+from seqpred.dicegame import GameSpec
+from seqpred.inequality_lab import GridSpec, MarginReport, ScanRow
 from seqpred.measures import BernoulliMeasure
 
 
@@ -634,6 +636,21 @@ class TestMalformedFields:
         "verify-markov-mix-horizons-decreasing": ("verify-bounds", dict(
             json.loads((CONFIGS / "markov_mix.json").read_text()),
             horizons=[14, 4]), "horizons must increase, got [14, 4]"),
+        "grid-unknown-key": ("inequalities", {"inequalities": {"grid": {
+            "y_count": 40, "z_count": 40, "bogus": 1}}},
+            "config error: unknown inequalities.grid keys: ['bogus']"),
+        # A spec that borrows a member's name once got that member's
+        # entropy budget, and the bound checks failed against it.
+        "verify-true-measure-named-like-member": ("verify-bounds",
+            two_bernoulli_config(horizons=[8], true_measure={
+                "type": "bernoulli", "theta": 0.9, "name": "bernoulli(0.3)"}),
+            "config error: true_measure spec is named 'bernoulli(0.3)' like "
+            'a class member; select the member by its name, "true_measure": '
+            '"bernoulli(0.3)"'),
+        "simulate-true-measure-copies-member": ("simulate",
+            two_bernoulli_config(true_measure={
+                "type": "bernoulli", "theta": 0.7}),
+            "true_measure spec is named 'bernoulli(0.7)' like a class member"),
     }
 
     @pytest.mark.parametrize(
@@ -700,6 +717,36 @@ class TestMalformedFields:
             "inequalities.explore.distance entries must be [A, B] pairs of "
             "finite numbers, got [1.0, inf]"
         ) in capsys.readouterr().err
+
+
+class TestSpecFields:
+    """Every GridSpec and GameSpec field refuses a bool and a string by
+    its path, as its dataclass type says."""
+
+    SECTIONS = {
+        "inequalities": ("inequalities.grid", GridSpec,
+                         lambda spec: {"inequalities": {"grid": spec}}),
+        "dicegame": ("game.spec", GameSpec,
+                     lambda spec: {"game": dict(GAME["game"], spec=spec)}),
+    }
+
+    @pytest.mark.parametrize("value", [True, "x"])
+    @pytest.mark.parametrize("command, field", [
+        (command, field.name)
+        for command, (_where, cls, _wrap) in SECTIONS.items()
+        for field in dataclasses.fields(cls)
+    ])
+    def test_mistyped_value_names_its_field(self, tmp_path, capsys, command,
+                                            field, value):
+        where, _cls, wrap = self.SECTIONS[command]
+        config = write_config(tmp_path, wrap({field: value}))
+        out = tmp_path / "out"
+        code = run([command, "--config", config, "--out", str(out)])
+        printed = capsys.readouterr()
+        assert code == 2
+        assert printed.err.startswith(f"config error: {where}.{field}")
+        assert printed.out == ""
+        assert not out.exists()
 
 
 class TestUsageErrors:

@@ -18,6 +18,7 @@ from seqpred.predictors import (
 from seqpred.dicegame import (
     CALLERS,
     DEALER_RULES,
+    GAME_MODES,
     GameError,
     GameMeasure,
     GameSpec,
@@ -283,6 +284,20 @@ class TestPlay:
         whites = sum(trace.outcomes)
         expected_errors = whites * 0.75 + (20 - whites) * 0.25
         assert trace.cumulative_errors[-1] == pytest.approx(expected_errors)
+
+    @pytest.mark.parametrize("mode", GAME_MODES)
+    def test_ledger_identity_holds_every_round(self, mode):
+        # Errors and profit are one ledger: after n rounds the profit is
+        # (n - errors) * payout - n * stake, expected values included.
+        spec = GameSpec(stake_cents=200, payout_cents=450)
+        trace = play(
+            spec, dealer_rule("majority3"), LaplaceRulePredictor(), 40,
+            seed=4, mode=mode,
+        )
+        for n, (cents, errors) in enumerate(
+            zip(trace.cumulative_profit, trace.cumulative_errors), start=1,
+        ):
+            assert cents == pytest.approx(profit(n, errors, spec), abs=1e-6)
 
     def test_informed_caller_profit_band(self):
         # 100 games of 400 rounds; the per-round mean sits within a few
