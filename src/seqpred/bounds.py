@@ -18,16 +18,23 @@ distances, and H the summed relative entropy:
     T_inf <= E_gen                                 (also stepwise)
     T_mix < E_gen + H + sqrt(4 E_gen H + H^2)
 
-Strict inequalities are checked strictly whenever H > 0; in degenerate
-H = 0 runs they hold with equality and are accepted to the tolerance.
-The entropy budget H <= ln((sum w) / w_informed) is tested whenever the
-caller supplies the cap.
+  both schemes, given the cap ln((sum w) / w_informed)
+    H <= cap,  D2 <= cap / 2
+
+Each relation is one row of _PROBABILISTIC or _THRESHOLD, in the order
+listed, and one evaluator reads both tables.  Strict inequalities are
+checked strictly whenever H > 0; in degenerate H = 0 runs they hold with
+equality and are accepted to the tolerance.  Without a general predictor
+or a cap, the rows that need it are skipped.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .predictors import ExpectationReport, PredictionError
 
@@ -89,31 +96,95 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def _relation(name, left, right, *, strict, entropy, applicable=True,
-              tolerance=TOLERANCE, note=""):
-    margin = right - left
-    if not applicable:
-        verdict = "skipped"
-    elif strict and entropy > _STRICT_ENTROPY_FLOOR:
-        verdict = "pass" if margin > 0.0 else "fail"
-    else:
-        verdict = "pass" if margin >= -tolerance else "fail"
-    return Relation(
-        name=name, left=left, right=right, margin=margin, strict=strict,
-        applicable=applicable, verdict=verdict, note=note,
-    )
+class _Row(NamedTuple):
+    """One relation left <= right (left < right if strict) over the totals
+    t.  A row needing an absent input ("e_gen" or "cap") is a zero row
+    skipped with that input's note; a row with an applicability test
+    carries its note only when the test fails and the row is skipped."""
+
+    name: str
+    left: Callable
+    right: Callable
+    strict: bool = False
+    needs: str | None = None
+    applicable: Callable | None = None
+    note: str = ""
+    tolerance: float = TOLERANCE
 
 
-def _skipped_if(note, relations):
-    """The relations as computed, or, given a note saying why they cannot
-    be checked, each as a skipped row with zero sides and margin."""
-    if note is None:
-        return relations
-    return [
-        Relation(name=r.name, left=0.0, right=0.0, margin=0.0, strict=False,
-                 applicable=False, verdict="skipped", note=note)
-        for r in relations
-    ]
+_ABSENT = {
+    "e_gen": "no general predictor in the report",
+    "cap": "no prior weight for the informed measure; budget skipped",
+}
+
+
+def _zero(t):
+    return 0.0
+
+
+def _worst_step(t, name, scale):
+    """The largest step excess of name's errors over scale * general's."""
+    return -min(scale * g - x
+                for x, g in zip(t.steps[name], t.steps["general"]))
+
+
+def _gap_lower(t):
+    return t.e_inf + t.h - math.sqrt(2.0 * t.e_inf * t.h)
+
+
+def _gap_applies(t):
+    return t.e_inf > 2.0 * t.h
+
+
+_GAP_NOTE = "requires informed total > 2 * entropy"
+
+_BUDGET = (
+    _Row("entropy_within_budget", lambda t: t.h, lambda t: t.cap,
+         needs="cap", tolerance=BUDGET_TOLERANCE),
+    _Row("quadratic_within_half_budget", lambda t: t.d2,
+         lambda t: t.cap / 2.0, needs="cap", tolerance=BUDGET_TOLERANCE),
+)
+
+_PROBABILISTIC = (
+    _Row("gap_within_total_variation",
+         lambda t: abs(t.e_mix - t.e_inf), lambda t: t.d1),
+    _Row("total_variation_within_entropy_term",
+         lambda t: t.d1, lambda t: t.h + math.sqrt(2.0 * t.e_inf * t.h),
+         strict=True),
+    _Row("quadratic_within_half_entropy", lambda t: t.d2, lambda t: t.h / 2.0),
+    _Row("mixture_above_quadratic_plus_half_informed",
+         lambda t: t.d2 + t.e_inf / 2.0, lambda t: t.e_mix, strict=True),
+    _Row("mixture_above_informed_entropy_gap", _gap_lower, lambda t: t.e_mix,
+         strict=True, applicable=_gap_applies, note=_GAP_NOTE),
+    _Row("informed_entropy_gap_above_entropy", lambda t: t.h, _gap_lower,
+         strict=True, applicable=_gap_applies, note=_GAP_NOTE),
+    _Row("informed_within_twice_general",
+         lambda t: t.e_inf, lambda t: 2.0 * t.e_gen, needs="e_gen"),
+    _Row("informed_within_twice_general_stepwise",
+         lambda t: _worst_step(t, "informed", 2.0), _zero, needs="e_gen",
+         note="worst step"),
+    _Row("mixture_within_twice_general_entropy_term", lambda t: t.e_mix,
+         lambda t: 2.0 * t.e_gen + t.h + math.sqrt(4.0 * t.e_gen * t.h),
+         strict=True, needs="e_gen"),
+) + _BUDGET
+
+_THRESHOLD = (
+    _Row("threshold_gap_nonnegative", _zero, lambda t: t.t_mix - t.t_inf),
+    _Row("threshold_gap_matches_step_sum",
+         lambda t: abs(t.t_mix - t.t_inf - t.t_gap), _zero,
+         note="telescoped absolute step differences"),
+    _Row("threshold_gap_within_entropy_term", lambda t: t.t_mix - t.t_inf,
+         lambda t: t.h + math.sqrt(4.0 * t.t_inf * t.h + t.h * t.h),
+         strict=True),
+    _Row("threshold_informed_within_general",
+         lambda t: t.t_inf, lambda t: t.e_gen, needs="e_gen"),
+    _Row("threshold_informed_within_general_stepwise",
+         lambda t: _worst_step(t, "threshold_informed", 1.0), _zero,
+         needs="e_gen", note="worst step"),
+    _Row("threshold_mixture_within_general_entropy_term", lambda t: t.t_mix,
+         lambda t: t.e_gen + t.h + math.sqrt(4.0 * t.e_gen * t.h + t.h * t.h),
+         strict=True, needs="e_gen"),
+) + _BUDGET
 
 
 def _require_exact(report: ExpectationReport) -> None:
@@ -121,26 +192,40 @@ def _require_exact(report: ExpectationReport) -> None:
         raise BoundsInputError("bounds require exact expectations")
 
 
-def _general_source(report):
-    """(total, steps, skip note) for the general predictor; without one in
-    the report, zero placeholders and the note that skips its relations."""
-    if report.steps("general") is None:
-        return (0.0, (0.0,) * report.horizon,
-                "no general predictor in the report")
-    return report.total("general"), report.steps("general"), None
-
-
-def _budget_relations(entropy, entropy_cap, quadratic):
-    note = None
-    if entropy_cap is None:
-        entropy_cap = 0.0
-        note = "no prior weight for the informed measure; budget skipped"
-    return _skipped_if(note, [
-        _relation("entropy_within_budget", entropy, entropy_cap,
-                  strict=False, entropy=entropy, tolerance=BUDGET_TOLERANCE),
-        _relation("quadratic_within_half_budget", quadratic, entropy_cap / 2.0,
-                  strict=False, entropy=entropy, tolerance=BUDGET_TOLERANCE),
-    ])
+def _evaluate(kind, rows, report, entropy_cap) -> BoundReport:
+    _require_exact(report)
+    total = report.total
+    t = SimpleNamespace(
+        e_inf=total("informed"), e_mix=total("mixture"),
+        e_gen=total("general"), d1=total("distance"), d2=total("quadratic"),
+        h=total("entropy"), t_inf=total("threshold_informed"),
+        t_mix=total("threshold_mixture"), t_gap=total("threshold_gap"),
+        cap=entropy_cap, steps=report.per_step,
+    )
+    relations = []
+    for row in rows:
+        if row.needs is not None and getattr(t, row.needs) is None:
+            relations.append(Relation(
+                name=row.name, left=0.0, right=0.0, margin=0.0, strict=False,
+                applicable=False, verdict="skipped", note=_ABSENT[row.needs],
+            ))
+            continue
+        left, right = row.left(t), row.right(t)
+        margin = right - left
+        applicable = row.applicable is None or row.applicable(t)
+        if not applicable:
+            verdict = "skipped"
+        elif row.strict and t.h > _STRICT_ENTROPY_FLOOR:
+            verdict = "pass" if margin > 0.0 else "fail"
+        else:
+            verdict = "pass" if margin >= -row.tolerance else "fail"
+        relations.append(Relation(
+            name=row.name, left=left, right=right, margin=margin,
+            strict=row.strict, applicable=applicable, verdict=verdict,
+            note=row.note if row.applicable is None or not applicable else "",
+        ))
+    return BoundReport(kind=kind, horizon=report.horizon, entropy=t.h,
+                       entropy_cap=entropy_cap, relations=tuple(relations))
 
 
 def check_probabilistic_bounds(
@@ -148,54 +233,7 @@ def check_probabilistic_bounds(
     entropy_cap: float | None = None,
 ) -> BoundReport:
     """Verify the probabilistic-scheme relations on an exact report."""
-    _require_exact(report)
-    e_inf = report.total("informed")
-    e_mix = report.total("mixture")
-    d1 = report.total("distance")
-    d2 = report.total("quadratic")
-    h = report.total("entropy")
-    e_gen, step_gen, no_general = _general_source(report)
-
-    rels = [
-        _relation("gap_within_total_variation",
-                  abs(e_mix - e_inf), d1, strict=False, entropy=h),
-        _relation("total_variation_within_entropy_term",
-                  d1, h + math.sqrt(2.0 * e_inf * h), strict=True, entropy=h),
-        _relation("quadratic_within_half_entropy",
-                  d2, h / 2.0, strict=False, entropy=h),
-        _relation("mixture_above_quadratic_plus_half_informed",
-                  d2 + e_inf / 2.0, e_mix, strict=True, entropy=h),
-    ]
-    gap_applicable = e_inf > 2.0 * h
-    gap_note = "" if gap_applicable else "requires informed total > 2 * entropy"
-    lower = e_inf + h - math.sqrt(2.0 * e_inf * h)
-    rels.append(_relation("mixture_above_informed_entropy_gap",
-                          lower, e_mix, strict=True, entropy=h,
-                          applicable=gap_applicable, note=gap_note))
-    rels.append(_relation("informed_entropy_gap_above_entropy",
-                          h, lower, strict=True, entropy=h,
-                          applicable=gap_applicable, note=gap_note))
-    step_margin = min(
-        2.0 * g - i for i, g in zip(report.steps("informed"), step_gen)
-    )
-    rels.extend(_skipped_if(no_general, [
-        _relation("informed_within_twice_general",
-                  e_inf, 2.0 * e_gen, strict=False, entropy=h),
-        _relation("informed_within_twice_general_stepwise",
-                  -step_margin, 0.0, strict=False, entropy=h,
-                  note="worst step"),
-        _relation("mixture_within_twice_general_entropy_term",
-                  e_mix, 2.0 * e_gen + h + math.sqrt(4.0 * e_gen * h),
-                  strict=True, entropy=h),
-    ]))
-    rels.extend(_budget_relations(h, entropy_cap, d2))
-    return BoundReport(
-        kind="probabilistic",
-        horizon=report.horizon,
-        entropy=h,
-        entropy_cap=entropy_cap,
-        relations=tuple(rels),
-    )
+    return _evaluate("probabilistic", _PROBABILISTIC, report, entropy_cap)
 
 
 def check_threshold_bounds(
@@ -203,45 +241,7 @@ def check_threshold_bounds(
     entropy_cap: float | None = None,
 ) -> BoundReport:
     """Verify the thresholded-scheme relations on an exact report."""
-    _require_exact(report)
-    t_inf = report.total("threshold_informed")
-    t_mix = report.total("threshold_mixture")
-    h = report.total("entropy")
-    gap = t_mix - t_inf
-    e_gen, step_gen, no_general = _general_source(report)
-
-    rels = [
-        _relation("threshold_gap_nonnegative",
-                  0.0, gap, strict=False, entropy=h),
-        _relation("threshold_gap_matches_step_sum",
-                  abs(gap - report.total("threshold_gap")), 0.0,
-                  strict=False, entropy=h,
-                  note="telescoped absolute step differences"),
-        _relation("threshold_gap_within_entropy_term",
-                  gap, h + math.sqrt(4.0 * t_inf * h + h * h),
-                  strict=True, entropy=h),
-    ]
-    step_margin = min(
-        g - t for t, g in zip(report.steps("threshold_informed"), step_gen)
-    )
-    rels.extend(_skipped_if(no_general, [
-        _relation("threshold_informed_within_general",
-                  t_inf, e_gen, strict=False, entropy=h),
-        _relation("threshold_informed_within_general_stepwise",
-                  -step_margin, 0.0, strict=False, entropy=h,
-                  note="worst step"),
-        _relation("threshold_mixture_within_general_entropy_term",
-                  t_mix, e_gen + h + math.sqrt(4.0 * e_gen * h + h * h),
-                  strict=True, entropy=h),
-    ]))
-    rels.extend(_budget_relations(h, entropy_cap, report.total("quadratic")))
-    return BoundReport(
-        kind="threshold",
-        horizon=report.horizon,
-        entropy=h,
-        entropy_cap=entropy_cap,
-        relations=tuple(rels),
-    )
+    return _evaluate("threshold", _THRESHOLD, report, entropy_cap)
 
 
 @dataclass(frozen=True)
@@ -271,6 +271,19 @@ class TrendReport:
                 "passed": self.passed}
 
 
+# (informed total, mixture total, envelope(informed, H), the multiple of H
+# the mixture total is checked against when the informed total is zero,
+# the note saying so)
+_TREND = (
+    ("informed", "mixture",
+     lambda e, h: math.sqrt(2.0 * h) + h / math.sqrt(e), 1.0,
+     "zero informed total; checked mixture <= entropy"),
+    ("threshold_informed", "threshold_mixture",
+     lambda t, h: (h + math.sqrt(4.0 * t * h + h * h)) / math.sqrt(t), 2.0,
+     "zero threshold informed total; checked within twice entropy"),
+)
+
+
 def convergence_trend(reports) -> TrendReport:
     """Envelope check for the excess-error ratios over a horizon sweep.
 
@@ -295,40 +308,19 @@ def convergence_trend(reports) -> TrendReport:
         )
     rows = []
     for report in reports:
-        e_inf = report.total("informed")
-        e_mix = report.total("mixture")
-        t_inf = report.total("threshold_informed")
-        t_mix = report.total("threshold_mixture")
         h = report.total("entropy")
-        notes = []
-        if e_inf > 0.0:
-            excess = (e_mix / e_inf - 1.0) * math.sqrt(e_inf)
-            envelope = math.sqrt(2.0 * h) + h / math.sqrt(e_inf)
-            ok = excess <= envelope + TOLERANCE
-        else:
-            excess = envelope = None
-            ok = e_mix <= h + TOLERANCE
-            notes.append("zero informed total; checked mixture <= entropy")
-        if t_inf > 0.0:
-            t_excess = (t_mix / t_inf - 1.0) * math.sqrt(t_inf)
-            t_envelope = (
-                h + math.sqrt(4.0 * t_inf * h + h * h)
-            ) / math.sqrt(t_inf)
-            t_ok = t_excess <= t_envelope + TOLERANCE
-        else:
-            t_excess = t_envelope = None
-            t_ok = t_mix <= 2.0 * h + TOLERANCE
-            notes.append(
-                "zero threshold informed total; checked within twice entropy"
-            )
-        rows.append(TrendRow(
-            horizon=report.horizon,
-            entropy=h,
-            ratio_excess=excess,
-            ratio_envelope=envelope,
-            threshold_ratio_excess=t_excess,
-            threshold_ratio_envelope=t_envelope,
-            passed=ok and t_ok,
-            note="; ".join(notes),
-        ))
+        ratios, notes, passed = [], [], True
+        for inf_name, mix_name, envelope, fallback, note in _TREND:
+            inf, mix = report.total(inf_name), report.total(mix_name)
+            if inf > 0.0:
+                excess = (mix / inf - 1.0) * math.sqrt(inf)
+                bound = envelope(inf, h)
+                ratios += [excess, bound]
+                passed = passed and excess <= bound + TOLERANCE
+            else:
+                ratios += [None, None]
+                passed = passed and mix <= fallback * h + TOLERANCE
+                notes.append(note)
+        rows.append(TrendRow(report.horizon, h, *ratios, passed=passed,
+                             note="; ".join(notes)))
     return TrendReport(rows=tuple(rows))

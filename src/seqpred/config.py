@@ -169,7 +169,9 @@ def build_measure(spec, where: str = "measure") -> SequenceMeasure:
             )
         # kind == "game"
         rule = dealer_rule(_require(spec, "rule", where))
-        return GameMeasure(rule, build_game_spec(spec.get("spec", {})))
+        return GameMeasure(
+            rule, _read_fields(GameSpec, spec.get("spec", {}), f"{where}.spec"),
+        )
     except MeasureError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

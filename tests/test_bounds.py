@@ -267,7 +267,14 @@ class TestTrend:
         trend = convergence_trend(reports)
         assert trend.passed
         for row in trend.rows:
-            assert "zero informed total" in row.note
+            # Both fallbacks, in the order the two envelopes are checked.
+            assert row.note == (
+                "zero informed total; checked mixture <= entropy; "
+                "zero threshold informed total; checked within twice entropy"
+            )
+            assert (row.ratio_excess, row.ratio_envelope,
+                    row.threshold_ratio_excess,
+                    row.threshold_ratio_envelope) == (None,) * 4
 
     def test_trend_serialization(self, tmp_path):
         trend = convergence_trend(self.sweep((4, 8, 12)))

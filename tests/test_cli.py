@@ -647,6 +647,13 @@ class TestMalformedFields:
             "config error: true_measure spec is named 'bernoulli(0.3)' like "
             'a class member; select the member by its name, "true_measure": '
             '"bernoulli(0.3)"'),
+        # A game spec inside a class once reported its fields at the
+        # top-level game section's path.
+        "game-measure-spec-names-its-path": ("simulate", with_component(
+            {"type": "game", "rule": "constant-die1",
+             "spec": {"stake_cents": "x"}}),
+            "config error: class.components[1].spec.stake_cents must be an "
+            "integer, got 'x'"),
         "simulate-true-measure-copies-member": ("simulate",
             two_bernoulli_config(true_measure={
                 "type": "bernoulli", "theta": 0.7}),
