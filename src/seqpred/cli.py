@@ -41,10 +41,9 @@ from .dicegame import (
 from .inequality_lab import GridError, run_all_scans
 from .measures import BinaryString, MeasureError
 from .numerics import fmt17, write_csv, write_json
-from .predictors import exact_expectations, monte_carlo_ladder
+from .predictors import exact_ladder, monte_carlo_ladder
 from .semimeasure import (
-    EchoMachine,
-    RegisterMachine,
+    MACHINES,
     SemimeasureError,
     approximate_mass,
     normalize,
@@ -93,7 +92,7 @@ def cmd_verify_bounds(args, config: dict) -> int:
         if mu in weighted.measures()
         else None
     )
-    reports = [exact_expectations(mu, xi, h, rho=rho) for h in horizons]
+    reports = exact_ladder(mu, xi, horizons, rho=rho)
     checks = [
         (r.horizon, check_probabilistic_bounds(r, entropy_cap=cap),
          check_threshold_bounds(r, entropy_cap=cap))
@@ -243,7 +242,7 @@ def cmd_simulate(args, config: dict) -> int:
     rho = cfg.build_predictor(config["rho"]) if "rho" in config else None
     horizons = cfg.resolve_horizons(config)
     if mode == "exact":
-        reports = [exact_expectations(mu, xi, h, rho=rho) for h in horizons]
+        reports = exact_ladder(mu, xi, horizons, rho=rho)
     else:
         reports = monte_carlo_ladder(
             mu, xi, horizons, samples=samples, seed=seed, rho=rho,
@@ -268,14 +267,12 @@ def cmd_approximate_m(args, config: dict) -> int:
         config, "semimeasure", ("machine", "cap", "fuel", "depth"),
     )
     machine_name = section.get("machine", "echo")
-    if machine_name == "echo":
-        machine = EchoMachine()
-    elif machine_name == "register":
-        machine = RegisterMachine()
-    else:
+    # Compared, not hashed: a config may name a list here.
+    if machine_name not in list(MACHINES):
         raise cfg.ConfigError(
-            f"unknown machine {machine_name!r}; known: echo, register"
+            f"unknown machine {machine_name!r}; known: {', '.join(MACHINES)}"
         )
+    machine = MACHINES[machine_name]()
     cap = cfg.int_field(section, "cap", 12, 1, "semimeasure")
     fuel = cfg.int_field(section, "fuel", 64, 1, "semimeasure")
     depth = cfg.int_field(section, "depth", 6, 1, "semimeasure")

@@ -246,11 +246,16 @@ class ExpectationReport:
 _NO_PREDICTOR = FiniteRule(((None, 0, 0),), name=None)
 
 
-def _walked(rho: StateRule | None, n: int):
-    """The predictor an engine walks, once the horizon n is checked."""
-    if n < 1:
-        raise PredictionError(f"horizon must be >= 1, got {n}")
-    return _NO_PREDICTOR if rho is None else rho
+def _checked(horizons, rho: StateRule | None):
+    """Either engine's ladder, checked, and the predictor it walks."""
+    horizons = list(horizons)
+    if not horizons:
+        raise PredictionError("need at least one horizon")
+    if horizons[0] < 1:
+        raise PredictionError(f"horizon must be >= 1, got {horizons[0]}")
+    if any(h <= before for before, h in zip(horizons, horizons[1:])):
+        raise PredictionError(f"horizons must increase, got {horizons}")
+    return horizons, _NO_PREDICTOR if rho is None else rho
 
 
 def _report(mode, mu, xi, rho, columns, std_errors=None, **fields):
@@ -279,25 +284,40 @@ def exact_expectations(
     n: int,
     rho: StateRule | None = None,
 ) -> ExpectationReport:
-    """Exact totals by enumerating every informed-positive context.
+    """Exact totals by enumerating every informed-positive context: the
+    one-rung ladder."""
+    return exact_ladder(mu, xi, [n], rho=rho)[0]
 
-    Walks the full depth-n binary tree, weighting each context by its
-    informed probability and pruning zero-probability branches.  Each
-    node is expanded once, by split() on mu, xi and rho, into p1 and
-    both children's states.  Also sums the entropy total from the leaf
-    probability ratios (the telescoped form), priced by each measure's
-    own prefix rule carried down the same walk and split at depth n - 1
-    into both leaves' prices, and insists the two routes agree to 1e-9.
+
+def exact_ladder(
+    mu: SequenceMeasure,
+    xi: SequenceMeasure,
+    horizons,
+    rho: StateRule | None = None,
+) -> list[ExpectationReport]:
+    """Exact reports at each horizon of an increasing ladder.
+
+    Walks the full binary tree once, to the top rung, weighting each
+    context by its informed probability and pruning zero-probability
+    branches.  Each node is expanded once, by split() on mu, xi and rho,
+    into p1 and both children's states.  A depth-first walk visits each
+    depth's nodes in the same order whatever the horizon, so a rung's
+    report, which takes the step columns up to its horizon, equals a walk
+    to that horizon alone, bit for bit.  Each rung also sums its entropy
+    total from the probability ratios of the contexts at its depth (the
+    telescoped form), priced by each measure's own prefix rule carried
+    down the same walk, and insists the two routes agree to 1e-9.
     """
-    rho = _walked(rho, n)
-    if n > EXACT_HORIZON_CAP:
+    horizons, rho = _checked(horizons, rho)
+    over = [h for h in horizons if h > EXACT_HORIZON_CAP]
+    if over:
         raise PredictionError(
-            f"horizon {n} exceeds the exact enumeration cap "
+            f"horizon {over[0]} exceeds the exact enumeration cap "
             f"{EXACT_HORIZON_CAP}"
         )
-    steps = [[0.0] * n for _ in _STEP_FIELDS]
-    leaf_terms = []
-    last = n - 1
+    top = horizons[-1]
+    steps = [[0.0] * top for _ in _STEP_FIELDS]
+    rung_terms = {h: [] for h in horizons}
 
     def walk(k, log_mu, mu_state, xi_state, rho_state, mu_price, xi_price):
         mu_split = mu.split(mu_state)
@@ -312,7 +332,14 @@ def exact_expectations(
         for bit, p_mu in ((0, 1.0 - y), (1, y)):
             if p_mu <= 0.0:
                 continue
-            if k < last:
+            if k + 1 in rung_terms:
+                # Independent route for the telescoped entropy total at
+                # a rung: both prices come from the prefix rules, not
+                # from the conditionals the steps were weighted with.
+                lm = mu.log_prefix(mu_prices[bit])
+                lx = xi.log_prefix(xi_prices[bit])
+                rung_terms[k + 1].append(math.exp(lm) * (lm - lx))
+            if k + 1 < top:
                 walk(
                     k + 1,
                     log_mu + math.log(p_mu),
@@ -322,25 +349,22 @@ def exact_expectations(
                     mu_prices[bit],
                     xi_prices[bit],
                 )
-            else:
-                # Independent route for the telescoped entropy total:
-                # both leaf prices come from the prefix rules, not from
-                # the conditionals the steps above were weighted with.
-                lm = mu.log_prefix(mu_prices[bit])
-                lx = xi.log_prefix(xi_prices[bit])
-                leaf_terms.append(math.exp(lm) * (lm - lx))
 
     walk(0, 0.0, mu.start(), xi.start(), rho.start(),
          mu.prefix_start(), xi.prefix_start())
 
-    telescoped = math.fsum(leaf_terms)
-    entropy_total = math.fsum(steps[_STEP_FIELDS.index("entropy")])
-    if math.isfinite(entropy_total) and abs(entropy_total - telescoped) > 1e-9:
-        raise PredictionError(
-            "entropy total disagrees with its telescoped form: "
-            f"{entropy_total} vs {telescoped}"
-        )
-    return _report("exact", mu, xi, rho, steps, telescoped_entropy=telescoped)
+    reports = []
+    for h in horizons:
+        report = _report("exact", mu, xi, rho, (row[:h] for row in steps),
+                         telescoped_entropy=math.fsum(rung_terms[h]))
+        total, telescoped = report.entropy_total, report.telescoped_entropy
+        if math.isfinite(total) and abs(total - telescoped) > 1e-9:
+            raise PredictionError(
+                "entropy total disagrees with its telescoped form: "
+                f"{total} vs {telescoped}"
+            )
+        reports.append(report)
+    return reports
 
 
 def monte_carlo_expectations(
@@ -374,12 +398,7 @@ def monte_carlo_ladder(
     alone, bit for bit.  Results depend only on (seed, samples,
     horizons), not on scheduling.
     """
-    horizons = list(horizons)
-    if not horizons:
-        raise PredictionError("need at least one horizon")
-    rho = _walked(rho, horizons[0])
-    if any(h <= before for before, h in zip(horizons, horizons[1:])):
-        raise PredictionError(f"horizons must increase, got {horizons}")
+    horizons, rho = _checked(horizons, rho)
     if samples < 2:
         raise PredictionError(f"need at least 2 samples, got {samples}")
     if seed is None:

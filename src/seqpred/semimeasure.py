@@ -159,6 +159,10 @@ class RegisterMachine(MonotoneMachine):
         return state[2]
 
 
+# The machines approximate-m runs, by name.
+MACHINES = {cls.name: cls for cls in (EchoMachine, RegisterMachine)}
+
+
 def program_bits_from_hex(text: str) -> tuple[int, ...]:
     """Hex digits to program bits, most significant bit first."""
     text = text.strip()

@@ -1,12 +1,13 @@
-"""Pinned `verify-bounds` runs: their cases, and how to rewrite the files.
+"""Pinned CLI runs: their cases, and how to rewrite the files.
 
-Each case directory holds one run's `stdout.txt`, `exit_code.txt` and
-`verify-bounds.json`; `platform.json` names the platform they were
-written on.  tests/test_golden.py reruns every case and compares.
+Each case is a (subcommand, name) pair.  Its directory, `<subcommand>/
+<name>/`, holds the run's `stdout.txt` and `exit_code.txt` beside every
+file the run wrote to `--out`; `platform.json` names the platform they
+were written on.  tests/test_golden.py reruns every case and compares.
 
 Regenerate from the repository root with
 
-    PYTHONPATH=src python tests/golden/verify-bounds/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py
 
 and list every changed file in CHANGES.md.
 """
@@ -15,6 +16,7 @@ import contextlib
 import io
 import json
 import platform
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -24,9 +26,10 @@ import numpy
 from seqpred import cli
 
 HERE = Path(__file__).resolve().parent
-CONFIGS = HERE.parents[2] / "configs"
+CONFIGS = HERE.parents[1] / "configs"
 PLATFORM = HERE / "platform.json"
-FILES = ("stdout.txt", "exit_code.txt", "verify-bounds.json")
+# The two files a run leaves besides its artifacts.
+STDOUT, EXIT_CODE = "stdout.txt", "exit_code.txt"
 # On the pinned platform the files are compared byte for byte.  Elsewhere
 # libm and numpy may round differently, so the text between numbers is
 # compared exactly and each number within REL_TOL, or ABS_TOL for the
@@ -51,23 +54,27 @@ _FOUR_MEMBERS = {
     "mode": "exact",
 }
 
-# Case name -> config: a shipped config's file name, or the config itself.
+# (subcommand, case name) -> config: a shipped config's file name, or the
+# config itself.
 CASES = {
-    "two_bernoulli": "two_bernoulli.json",
-    "markov_mix": "markov_mix.json",
+    ("verify-bounds", "two_bernoulli"): "two_bernoulli.json",
+    ("verify-bounds", "markov_mix"): "markov_mix.json",
     # No rho: every general-predictor relation is a zero row.
-    "four_members": _FOUR_MEMBERS,
+    ("verify-bounds", "four_members"): _FOUR_MEMBERS,
     # A true measure outside the class has no budget, so no cap.
-    "four_members_outside_truth": dict(
+    ("verify-bounds", "four_members_outside_truth"): dict(
         _FOUR_MEMBERS,
         true_measure={"type": "bernoulli", "theta": 0.45},
         rho={"type": "threshold",
              "base": {"type": "measure", "measure": _MARKOV1}},
     ),
     # Zero informed totals: the trend takes its fallback checks.
-    "four_members_alternating_truth": dict(
+    ("verify-bounds", "four_members_alternating_truth"): dict(
         _FOUR_MEMBERS, true_measure="alternating",
     ),
+    ("simulate", "two_bernoulli"): "two_bernoulli.json",
+    ("simulate", "markov_mix"): "markov_mix.json",
+    ("simulate", "monte_carlo"): "monte_carlo.json",
 }
 
 
@@ -89,9 +96,10 @@ def differing_platform_fields() -> dict:
             if pinned.get(key) != value}
 
 
-def run_case(name: str, work: Path) -> dict:
-    """Run one case's `verify-bounds` under work; {file name: bytes}."""
-    config = CASES[name]
+def run(command: str, config, work: Path, flags=()) -> dict:
+    """Run one subcommand on config (a shipped config's file name, or the
+    config itself) under work; {file name: bytes} for its stdout, its exit
+    code and each file it wrote."""
     if isinstance(config, str):
         path = CONFIGS / config
     else:
@@ -100,21 +108,20 @@ def run_case(name: str, work: Path) -> dict:
     out = work / "out"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = cli.main(["verify-bounds", "--config", str(path),
-                         "--out", str(out)])
-    return {
-        "stdout.txt": stdout.getvalue().encode(),
-        "exit_code.txt": f"{code}\n".encode(),
-        "verify-bounds.json": (out / "verify-bounds.json").read_bytes(),
-    }
+        code = cli.main([command, "--config", str(path), "--out", str(out),
+                         *flags])
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    return {STDOUT: stdout.getvalue().encode(),
+            EXIT_CODE: f"{code}\n".encode(), **files}
 
 
 def main() -> int:
-    for name in CASES:
+    for (command, name), config in CASES.items():
         with tempfile.TemporaryDirectory() as work:
-            files = run_case(name, Path(work))
-        target = HERE / name
-        target.mkdir(exist_ok=True)
+            files = run(command, config, Path(work))
+        target = HERE / command / name
+        shutil.rmtree(target, ignore_errors=True)
+        target.mkdir(parents=True)
         for file_name, data in files.items():
             (target / file_name).write_bytes(data)
     PLATFORM.write_text(json.dumps(platform_fields(), indent=2,

@@ -513,6 +513,8 @@ class TestMalformedFields:
         "semimeasure-unknown-key":
             ("approximate-m", {"semimeasure": {"bogus": 1}}, []),
         "semimeasure-not-object": ("approximate-m", {"semimeasure": [1]}, []),
+        "machine-list": ("approximate-m",
+                         {"semimeasure": {"machine": ["echo"]}}, []),
         "theta-string": ("simulate", with_component(
             {"type": "bernoulli", "theta": "0.3"}), []),
         "constant-p-string": ("simulate", two_bernoulli_config(
@@ -959,46 +961,39 @@ class TestArtifactFormat:
         ("dicegame", "dicegame", 1, 5),
         ("approximate-m", "semimeasure", 1, 1),
     ]
-    # Each run's output directory, so the JSON and CSV checks share it.
-    outputs = {}
 
-    def output(self, tmp_path_factory, command, name):
-        key = (command, name)
-        if key not in self.outputs:
-            config = CONFIGS / f"{name}.json"
-            out = tmp_path_factory.mktemp("artifacts") / "out"
-            flags = ["--threads", "2"] if command == "inequalities" else []
-            code = run([command, "--config", str(config), "--out", str(out),
-                        *flags])
-            assert code == 0
-            self.outputs[key] = out
-        return self.outputs[key]
+    def output(self, cli_run, command, name):
+        """The run's files; the JSON and CSV checks and the golden test
+        share each run through the session's cli_run."""
+        flags = ["--threads", "2"] if command == "inequalities" else []
+        files = cli_run(command, f"{name}.json", flags)
+        assert files["exit_code.txt"] == b"0\n"
+        return files
 
     @pytest.mark.parametrize("command, name, count", [r[:3] for r in RUNS])
-    def test_json_artifacts_are_canonical(self, tmp_path_factory, command,
-                                          name, count):
-        out = self.output(tmp_path_factory, command, name)
-        written = sorted(out.glob("*.json"))
+    def test_json_artifacts_are_canonical(self, cli_run, command, name,
+                                          count):
+        files = self.output(cli_run, command, name)
+        written = sorted(n for n in files if n.endswith(".json"))
         assert len(written) == count
-        for path in written:
-            text = path.read_text()
+        for file_name in written:
+            text = files[file_name].decode()
             canonical = json.dumps(json.loads(text), indent=2, sort_keys=True)
-            assert text == canonical + "\n", path.name
+            assert text == canonical + "\n", file_name
 
     @pytest.mark.parametrize(
         "command, name, count", [(c, n, k) for c, n, _, k in RUNS],
     )
-    def test_csv_artifacts_are_canonical(self, tmp_path_factory, command,
-                                         name, count):
-        out = self.output(tmp_path_factory, command, name)
-        written = sorted(out.glob("*.csv"))
+    def test_csv_artifacts_are_canonical(self, cli_run, command, name,
+                                         count):
+        files = self.output(cli_run, command, name)
+        written = sorted(n for n in files if n.endswith(".csv"))
         assert len(written) == count
-        for path in written:
-            with open(path, newline="") as fh:
-                text = fh.read()
+        for file_name in written:
+            text = files[file_name].decode()
             canonical = io.StringIO()
             csv.writer(canonical).writerows(csv.reader(io.StringIO(text)))
-            assert text == canonical.getvalue(), path.name
+            assert text == canonical.getvalue(), file_name
 
 
 class TestClosedStdout:

@@ -1,10 +1,10 @@
-"""`verify-bounds` reruns the pinned runs under tests/golden/verify-bounds.
+"""Reruns the pinned CLI runs under tests/golden.
 
-Each case's stdout, exit code and `verify-bounds.json` must match the
-pinned files: byte for byte on the platform recorded beside them, and
-elsewhere with the text between numbers exact and every number within
-the tolerances regenerate.py states (the test header, or under -q the
-last line, says which comparison ran).
+Each (subcommand, case) run's stdout, exit code and written files must
+match the pinned files: byte for byte on the platform recorded beside
+them, and elsewhere with the text between numbers exact and every number
+within the tolerances regenerate.py states (the test header, or under -q
+the last line, says which comparison ran).
 """
 
 import math
@@ -34,24 +34,25 @@ def differences(pinned: str, fresh: str) -> list[str]:
 
 
 def test_every_case_is_pinned():
-    pinned = {p.name for p in GOLDEN.HERE.iterdir() if p.is_dir()}
+    pinned = {(command.name, case.name)
+              for command in GOLDEN.HERE.iterdir() if command.is_dir()
+              for case in command.iterdir() if case.is_dir()}
     assert pinned == set(GOLDEN.CASES)
-    for case in GOLDEN.CASES:
-        assert {p.name for p in (GOLDEN.HERE / case).iterdir()} == set(
-            GOLDEN.FILES)
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN.CASES))
-def test_verify_bounds_matches_pinned_run(tmp_path, case):
-    fresh = GOLDEN.run_case(case, tmp_path)
+@pytest.mark.parametrize("command, case", sorted(GOLDEN.CASES),
+                         ids=["/".join(key) for key in sorted(GOLDEN.CASES)])
+def test_run_matches_pinned(cli_run, command, case):
+    fresh = cli_run(command, GOLDEN.CASES[command, case])
+    pinned_dir = GOLDEN.HERE / command / case
+    assert sorted(fresh) == sorted(p.name for p in pinned_dir.iterdir())
     exact = not GOLDEN.differing_platform_fields()
-    for name in GOLDEN.FILES:
-        pinned = (GOLDEN.HERE / case / name).read_bytes()
+    for name, data in fresh.items():
+        pinned = (pinned_dir / name).read_bytes()
         if exact:
-            assert fresh[name] == pinned, name
+            assert data == pinned, name
         else:
-            assert differences(pinned.decode(), fresh[name].decode()) == [], (
-                name)
+            assert differences(pinned.decode(), data.decode()) == [], name
 
 
 class TestFloatComparison:

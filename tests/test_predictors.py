@@ -27,6 +27,7 @@ from seqpred.predictors import (
     ThresholdPredictor,
     deterministic_wrap,
     exact_expectations,
+    exact_ladder,
     monte_carlo_expectations,
     monte_carlo_ladder,
     step_terms,
@@ -549,14 +550,57 @@ class TestHorizonLadder:
         assert [report.horizon for report in rungs] == list(range(1, top + 1))
         assert mu.splits <= samples * top
 
+    @pytest.mark.parametrize("case", [
+        "two_bernoulli", "markov_mix", "dying_member_no_rho", "table_member",
+    ])
+    def test_exact_ladder_rungs_equal_separate_walks(self, case):
+        if case in ("two_bernoulli", "markov_mix"):
+            config, mu, xi, rho = self.experiment(f"{case}.json")
+            horizons = cfg.resolve_horizons(config)
+        elif case == "dying_member_no_rho":
+            # The alternating member dies on the first bit off its
+            # pattern, and there is no general predictor.
+            mu, rho, horizons = BernoulliMeasure(0.3), None, [2, 5, 9]
+            xi = MixtureMeasure(WeightedClass.with_index_code_weights(
+                [mu, deterministic("alternating")]
+            ))
+        else:
+            components = telescoped_components()
+            mu, rho, horizons = components[3], LaplaceRulePredictor(), [3, 8]
+            xi = MixtureMeasure(
+                WeightedClass.with_index_code_weights(components)
+            )
+        rungs = exact_ladder(mu, xi, horizons, rho=rho)
+        assert [report.horizon for report in rungs] == horizons
+        for report in rungs:
+            alone = exact_expectations(mu, xi, report.horizon, rho=rho)
+            assert repr(report.to_dict()) == repr(alone.to_dict())
+
+    def test_exact_ladder_walks_once_to_the_top_rung(self):
+        # mu has full support, so one walk splits it at each of the
+        # 2^12 - 1 nodes above depth 12; a walk per rung would add the
+        # 15 + 255 nodes of the rungs below.
+        mu = CountingBernoulli(0.3)
+        xi = MixtureMeasure(WeightedClass.uniform(
+            [BernoulliMeasure(0.3), BernoulliMeasure(0.7)]
+        ))
+        rungs = exact_ladder(mu, xi, [4, 8, 12])
+        assert [report.horizon for report in rungs] == [4, 8, 12]
+        assert mu.splits == 2 ** 12 - 1
+
+    @pytest.mark.parametrize("ladder", [
+        exact_ladder,
+        lambda mu, xi, horizons: monte_carlo_ladder(
+            mu, xi, horizons, samples=10, seed=1),
+    ], ids=["exact", "monte-carlo"])
     @pytest.mark.parametrize("horizons, message", [
         ([], "need at least one horizon"),
         ([0, 4], "horizon must be >= 1, got 0"),
         ([4, 4], "horizons must increase, got \\[4, 4\\]"),
         ([8, 4], "horizons must increase, got \\[8, 4\\]"),
     ])
-    def test_monte_carlo_ladder_needs_increasing_horizons(self, horizons,
-                                                          message):
+    def test_ladders_need_increasing_horizons(self, ladder, horizons,
+                                              message):
         mu, xi = two_bernoulli_setup()
         with pytest.raises(PredictionError, match=f"^{message}$"):
-            monte_carlo_ladder(mu, xi, horizons, samples=10, seed=1)
+            ladder(mu, xi, horizons)
